@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or validation problem, 3 budget exhausted
 (partial rows are still emitted), 4 an exact value escaped its closed-form
-bracket.  Thread count never changes emitted values, only wall time; see
-SearchBudget for why.
+bracket.  Thread count changes only wall time for a search that finishes
+inside its wall-clock budget; where that budget cuts a search depends on
+scheduling.  See SearchBudget.
 """
 
 import csv
@@ -161,7 +162,8 @@ def _format_options(fn):
 def _budget_options(fn):
     fn = click.option(
         "--threads", type=int, default=1, show_default=True,
-        help="Parallel root branches; never changes emitted values.",
+        help="Parallel root branches; changes no emitted value of a search "
+        "that finishes inside its wall-clock budget.",
     )(fn)
     fn = click.option(
         "--max-nodes", type=int, default=20_000_000, show_default=True,
@@ -169,8 +171,8 @@ def _budget_options(fn):
     )(fn)
     return click.option(
         "--budget-seconds", type=float, default=None,
-        help=f"Wall-clock budget (default ${ENV_BUDGET_SECONDS} or "
-        f"{DEFAULT_BUDGET_SECONDS:g}).",
+        help=f"Wall-clock deadline per search, shared by all its workers "
+        f"(default ${ENV_BUDGET_SECONDS} or {DEFAULT_BUDGET_SECONDS:g}).",
     )(fn)
 
 

@@ -8,9 +8,10 @@ some multiple of an image would chain down to zero), which caps the depth at
 |G| - 1 and gives an admissible capacity prune.  Search states (bitset,
 lowest admissible class) are memoized exactly.
 
-Budgets are enforced per root branch with a fresh memo each, so node-limited
-truncation yields identical results at any parallel width; only the shared
-wall-clock limit is scheduling dependent.
+Node budgets are enforced per root branch with a fresh memo each, so
+node-limited truncation yields identical results at any parallel width.  The
+wall-clock budget is one deadline per search, fixed when the search starts and
+shared by every root and worker; where it cuts a search depends on scheduling.
 """
 
 import time
@@ -27,6 +28,11 @@ from .zsfree import ZSequence, _as_moduli, _element_images, _grid, _weight_entri
 # Bitset width cap; beyond this the search would not finish anyway.
 MAX_GROUP_BITS = 4096
 
+# Search nodes between clock reads.  Every branch also reads the clock on its
+# first node, so a root that starts past the deadline stops at once and a
+# search overruns its deadline by at most this many nodes per worker.
+CLOCK_EVERY = 256
+
 
 class _Abort(Exception):
     pass
@@ -36,9 +42,12 @@ class _Abort(Exception):
 class SearchBudget:
     """Resource limits for the exact searches.
 
-    max_nodes applies to every root branch separately; max_seconds is a
-    shared wall-clock window and is the one knob whose truncation point can
-    differ between runs.
+    max_nodes applies to every root branch separately.  max_seconds is one
+    wall-clock deadline for the whole search, shared by every root branch and
+    every worker, and checked on each branch's first node and then every
+    CLOCK_EVERY nodes.  It is the one knob whose truncation point can differ
+    between runs, so thread width leaves results unchanged only for searches
+    that finish inside it.
     """
 
     max_nodes: int = 20_000_000
@@ -120,6 +129,22 @@ def _root_flags(moduli, grid, cands):
     return flags
 
 
+def _run_roots(branch, args, budget):
+    """branch(arg + (deadline,)) for every arg, in order, serially or on a
+    process pool; all branches share one wall-clock deadline.
+
+    The monotonic clock is system wide, so forked workers compare against
+    the same deadline as the parent.
+    """
+    deadline = time.monotonic() + budget.max_seconds
+    jobs = [a + (deadline,) for a in args]
+    if budget.parallel_width == 1 or len(jobs) == 1:
+        return [branch(job) for job in jobs]
+    workers = min(budget.parallel_width, len(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(branch, jobs))
+
+
 def _run_branch(args):
     """Exhaust one root class: (best length, witness cores, nodes, completed).
 
@@ -128,29 +153,15 @@ def _run_branch(args):
     branch maximum.  On abort the deepest zero-sum-free prefix seen so far is
     returned as a certified lower bound.
     """
-    moduli, entries, root_idx, max_nodes, seconds, collect = args
-    grid, cands = _prepare_candidates(moduli, entries)
-    n_classes = len(cands)
-    rank = grid.rank
-    size, mask = grid.size, grid.mask
-    cap_base = size - 1
-    shift_of = [c[1] for c in cands]
-    deadline = time.monotonic() + seconds
+    moduli, shift_of, root_idx, max_nodes, collect, deadline = args
+    grid = _grid(moduli)
+    fold = grid.fold
+    n_classes = len(shift_of)
+    cap_base = grid.size - 1
     nodes = 0
     deepest = 0
     memo = {}
     cores = []
-
-    def extend(R, i):
-        base = R | 1
-        acc = R
-        if rank == 1:
-            for t in shift_of[i]:
-                acc |= ((base << t) | (base >> (size - t))) & mask
-        else:
-            for vec in shift_of[i]:
-                acc |= grid.shift_vec(base, vec)
-        return acc
 
     def tick(depth):
         nonlocal nodes, deepest
@@ -159,7 +170,7 @@ def _run_branch(args):
             deepest = depth
         if nodes > max_nodes:
             raise _Abort
-        if not nodes % 4096 and time.monotonic() > deadline:
+        if nodes % CLOCK_EVERY == 1 and time.monotonic() > deadline:
             raise _Abort
 
     def max_ext(R, last, depth):
@@ -170,7 +181,7 @@ def _run_branch(args):
         tick(depth)
         best = 0
         for i in range(last, n_classes):
-            Rp = extend(R, i)
+            Rp = fold(R, shift_of[i])
             if Rp & 1:
                 continue
             if 1 + (cap_base - Rp.bit_count()) <= best:
@@ -187,7 +198,7 @@ def _run_branch(args):
             cores.append(tuple(prefix))
             return
         for i in range(last, n_classes):
-            Rp = extend(R, i)
+            Rp = fold(R, shift_of[i])
             if Rp & 1:
                 continue
             if 1 + (cap_base - Rp.bit_count()) < remaining:
@@ -198,7 +209,7 @@ def _run_branch(args):
                 prefix.pop()
 
     try:
-        R0 = extend(0, root_idx)
+        R0 = fold(0, shift_of[root_idx])
         best = 1 + max_ext(R0, root_idx, 1)
         if best > deepest:
             deepest = best
@@ -207,6 +218,17 @@ def _run_branch(args):
         return best, tuple(cores), nodes, True
     except _Abort:
         return deepest, (), nodes, False
+    finally:
+        # max_ext and walk refer to themselves, so the memo they close over
+        # would otherwise live until the cyclic collector runs.
+        memo.clear()
+
+
+def _scaled(elems, u, n, rank):
+    """The multiset elems scaled by the unit u, sorted."""
+    if rank == 1:
+        return tuple(sorted((u * x) % n for x in elems))
+    return tuple(sorted(tuple((u * c) % n for c in x) for x in elems))
 
 
 def _expand_witnesses(moduli, grid, cands, cores):
@@ -224,20 +246,8 @@ def _expand_witnesses(moduli, grid, cands, cores):
             out.add(tuple(sorted(elems)))
     if len(set(moduli)) == 1:
         n = moduli[0]
-        closed = set()
-        for elems in out:
-            for u in units(n):
-                if grid.rank == 1:
-                    closed.add(tuple(sorted((u * x) % n for x in elems)))
-                else:
-                    closed.add(
-                        tuple(
-                            sorted(
-                                tuple((u * c) % n for c in x) for x in elems
-                            )
-                        )
-                    )
-        out = closed
+        us = units(n)
+        out = {_scaled(elems, u, n, grid.rank) for elems in out for u in us}
     return tuple(ZSequence(moduli, e) for e in sorted(out))
 
 
@@ -247,23 +257,12 @@ def _search(moduli, entries, budget, collect):
         witnesses = (ZSequence(moduli, ()),) if collect else None
         return 0, witnesses, 0, True
     flags = _root_flags(moduli, grid, cands)
-    roots = [i for i, ok in enumerate(flags) if ok]
-    if budget.parallel_width == 1 or len(roots) == 1:
-        deadline = time.monotonic() + budget.max_seconds
-        results = []
-        for i in roots:
-            left = max(deadline - time.monotonic(), 0.001)
-            results.append(
-                _run_branch((moduli, entries, i, budget.max_nodes, left, collect))
-            )
-    else:
-        args = [
-            (moduli, entries, i, budget.max_nodes, budget.max_seconds, collect)
-            for i in roots
-        ]
-        workers = min(budget.parallel_width, len(roots))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_branch, args))
+    shifts = tuple(c[1] for c in cands)
+    args = [
+        (moduli, shifts, i, budget.max_nodes, collect)
+        for i, ok in enumerate(flags) if ok
+    ]
+    results = _run_roots(_run_branch, args, budget)
     max_len = max(r[0] for r in results)
     nodes = sum(r[2] for r in results)
     exhaustive = all(r[3] for r in results)
@@ -324,19 +323,8 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
         return witnesses
     base = moduli[0]
     rank = len(moduli)
-    reps = set()
-    for w in witnesses:
-        champion = None
-        for u in units(base):
-            if rank == 1:
-                cand = tuple(sorted((u * x) % base for x in w.elements))
-            else:
-                cand = tuple(
-                    sorted(tuple((u * c) % base for c in x) for x in w.elements)
-                )
-            if champion is None or cand < champion:
-                champion = cand
-        reps.add(champion)
+    us = units(base)
+    reps = {min(_scaled(w.elements, u, base, rank) for u in us) for w in witnesses}
     return tuple(ZSequence(moduli, e) for e in sorted(reps))
 
 
@@ -359,7 +347,7 @@ def zero_sum_free_sequences(n, weights, length):
             continue
         elems.append((x, codes if grid.rank == 1 else vecs))
     elems.sort()
-    size, mask = grid.size, grid.mask
+    size = grid.size
     seq = []
 
     def rec(R, start, depth):
@@ -368,14 +356,7 @@ def zero_sum_free_sequences(n, weights, length):
             return
         for idx in range(start, len(elems)):
             x, shifts = elems[idx]
-            base = R | 1
-            Rp = R
-            if grid.rank == 1:
-                for t in shifts:
-                    Rp |= ((base << t) | (base >> (size - t))) & mask
-            else:
-                for vec in shifts:
-                    Rp |= grid.shift_vec(base, vec)
+            Rp = grid.fold(R, shifts)
             if Rp & 1:
                 continue
             if 1 + (size - 1 - Rp.bit_count()) < length - depth:

@@ -13,12 +13,11 @@ append-feasibility test one bit probe per candidate.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .davenport import SearchBudget, _Abort
+from .davenport import CLOCK_EVERY, SearchBudget, _Abort, _run_roots
 from .errors import BudgetExceededError, TooLargeError, WrongLengthError
 from .modring import divisors, units
 
@@ -269,11 +268,10 @@ def _branch_explore(args):
     survives iff the bit of its inverse is absent from the matching parity
     mask.  Returns (deepest depth, hits at target length, nodes, completed).
     """
-    n, s, root, target, max_nodes, seconds = args
+    n, s, root, target, max_nodes, deadline = args
     mask_all = (1 << n) - 1
     cands = [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
     root_idx = cands.index(root)
-    deadline = time.monotonic() + seconds
     nodes = 0
     deepest = 0
     found = []
@@ -311,7 +309,7 @@ def _branch_explore(args):
         nodes += 1
         if nodes > max_nodes:
             raise _Abort
-        if not nodes % 2048 and time.monotonic() > deadline:
+        if nodes % CLOCK_EVERY == 1 and time.monotonic() > deadline:
             raise _Abort
         if depth > deepest:
             deepest = depth
@@ -378,24 +376,11 @@ def _roots(n):
 
 
 def _explore(spec, target, budget):
-    n, s = spec.n, spec.s
-    roots = _roots(n)
-    if budget.parallel_width == 1:
-        deadline = time.monotonic() + budget.max_seconds
-        results = []
-        for root in roots:
-            left = max(deadline - time.monotonic(), 0.001)
-            results.append(
-                _branch_explore((n, s, root, target, budget.max_nodes, left))
-            )
-    else:
-        args = [
-            (n, s, root, target, budget.max_nodes, budget.max_seconds)
-            for root in roots
-        ]
-        workers = min(budget.parallel_width, len(roots))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_branch_explore, args))
+    args = [
+        (spec.n, spec.s, root, target, budget.max_nodes)
+        for root in _roots(spec.n)
+    ]
+    results = _run_roots(_branch_explore, args, budget)
     found = [hit for r in results for hit in r[1]]
     max_depth = max(r[0] for r in results)
     nodes = sum(r[2] for r in results)

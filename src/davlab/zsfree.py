@@ -84,11 +84,6 @@ class _Grid:
             vec.append(r)
         return tuple(vec)
 
-    def rotate(self, bits, t):
-        if not t:
-            return bits
-        return ((bits << t) | (bits >> (self.size - t))) & self.mask
-
     def shift_vec(self, bits, vec):
         for i, t in enumerate(vec):
             if not t:
@@ -101,10 +96,19 @@ class _Grid:
             )
         return bits
 
-    def translate(self, bits, shift):
+    def fold(self, bits, shifts):
+        """Reachable sums after appending one element: bits plus every
+        translate of bits | {0} by a weighted image of the element, given as
+        codes (rank one) or coordinate vectors (products)."""
+        base = bits | 1
         if self.rank == 1:
-            return self.rotate(bits, shift)
-        return self.shift_vec(bits, shift)
+            size, mask = self.size, self.mask
+            for t in shifts:
+                bits |= ((base << t) | (base >> (size - t))) & mask
+        else:
+            for vec in shifts:
+                bits |= self.shift_vec(base, vec)
+        return bits
 
 
 @lru_cache(maxsize=None)
@@ -246,26 +250,13 @@ def reachable_sums(S, weights):
     if cached is not None:
         return cached
     bits = 0
-    size, mask = grid.size, grid.mask
-    if grid.rank == 1:
-        for x in S.elements:
-            base = bits | 1
-            acc = bits
-            for a in entries:
-                t = (a * x) % size
-                if t:
-                    acc |= ((base << t) | (base >> (size - t))) & mask
-                else:
-                    acc |= base
-            bits = acc
-    else:
-        for x in S.elements:
-            _, vecs = _element_images(grid, x, entries)
-            base = bits | 1
-            acc = bits
-            for vec in vecs:
-                acc |= grid.shift_vec(base, vec)
-            bits = acc
+    size = grid.size
+    for x in S.elements:
+        if grid.rank == 1:
+            shifts = [(a * x) % size for a in entries]
+        else:
+            shifts = _element_images(grid, x, entries)[1]
+        bits = grid.fold(bits, shifts)
     out = ReachableSet(S.moduli, bits)
     S._cache[entries] = out
     return out

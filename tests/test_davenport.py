@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -182,21 +184,39 @@ def test_determinism_across_parallel_width():
         ]
 
 
-def test_zero_sum_free_sequence_listing():
-    # cross-check one level against the literal oracle
-    n, A = 8, {1, 7}
-    got = [S.elements for S in zero_sum_free_sequences(n, A, 3)]
-    want = []
-    from itertools import combinations_with_replacement
+@pytest.mark.parametrize("width", [1, 2])
+def test_wall_clock_budget_is_one_shared_deadline(width):
+    # C_7^2 cannot be exhausted in 0.3 s; every root and worker stops at the
+    # same deadline, and the partial constant stays at most D(C_7^2) = 13
+    budget = SearchBudget(max_seconds=0.3, parallel_width=width)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError) as err:
+        exact_davenport_k(7, {1}, 2, budget)
+    assert time.monotonic() - start < 0.45
+    assert err.value.partial.constant <= 13
 
-    for tup in combinations_with_replacement(range(n), 3):
-        if not brute_force_oracle(ZSequence(n, tup), A):
+
+@pytest.mark.parametrize(
+    "moduli, A, elements",
+    [
+        (8, {1, 7}, range(8)),
+        ((3, 3), {(1, 1), (2, 1)}, list(product(range(3), repeat=2))),
+    ],
+    ids=["cyclic", "product"],
+)
+def test_zero_sum_free_sequence_listing(moduli, A, elements):
+    # cross-check the longest level against the literal oracle; both
+    # cases have constant 4, and the product case folds through rank > 1
+    got = [S.elements for S in zero_sum_free_sequences(moduli, A, 3)]
+    want = []
+    for tup in combinations_with_replacement(elements, 3):
+        if not brute_force_oracle(ZSequence(moduli, tup), A):
             want.append(tup)
     assert sorted(got) == sorted(want)
     assert got == sorted(got)
 
-    assert list(zero_sum_free_sequences(n, A, 4)) == []
-    empties = list(zero_sum_free_sequences(n, A, 0))
+    assert list(zero_sum_free_sequences(moduli, A, 4)) == []
+    empties = list(zero_sum_free_sequences(moduli, A, 0))
     assert len(empties) == 1 and empties[0].elements == ()
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import gcd
@@ -330,6 +331,18 @@ def test_small_davenport_budget_exhaustion():
         small_davenport(GroupSpec(12, 5), SearchBudget(max_nodes=10))
     assert isinstance(err.value.partial, int)
     assert err.value.partial <= 12
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_small_davenport_wall_clock_budget(width):
+    # C_20 x| C_2 cannot be exhausted in 0.3 s; every root and worker stops
+    # at the same deadline, and the partial length stays at most n = 20
+    budget = SearchBudget(max_seconds=0.3, parallel_width=width)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError) as err:
+        small_davenport(GroupSpec(20, 11), budget)
+    assert time.monotonic() - start < 0.45
+    assert err.value.partial <= 20
 
 
 def test_classification_determinism_across_width():
