@@ -8,6 +8,14 @@ some multiple of an image would chain down to zero), which caps the depth at
 |G| - 1 and gives an admissible capacity prune.  Search states (bitset,
 lowest admissible class) are memoized exactly.
 
+For uniform moduli, scaling by a unit of Z_n permutes the classes and the
+zero-sum-free multisets, and classes are ordered by their smallest member, so
+only classes that no unit maps to a lower index seed the search.  The same
+class-level action closes the extremal class multisets found from those roots
+before they are expanded into elements.  The root test stops at the first unit
+that lowers a class: most classes fail within a few units, while a full table
+over units and classes would cost more than the search at large n.
+
 Node budgets are enforced per root branch with a fresh memo each, so
 node-limited truncation yields identical results at any parallel width.  The
 wall-clock budget is one deadline per search, fixed when the search starts and
@@ -70,63 +78,53 @@ class ExactResult:
     nodes: int
 
 
-def _prepare_candidates(moduli, entries):
-    """Group usable elements into classes with equal weighted-image sets.
-
-    Elements with a zero image can never sit in a zero-sum-free sequence and
-    are dropped.  Classes are ordered by their smallest member code, which
-    fixes the enumeration order everywhere.
-    """
-    grid = _grid(moduli)
-    by_sig = {}
+def _usable_elements(grid, entries):
+    """(element, image codes, shift forms) of every element whose weighted
+    images are all nonzero, in code order.  An element with a zero image can
+    never sit in a zero-sum-free sequence."""
     for code in range(1, grid.size):
         x = code if grid.rank == 1 else grid.decode(code)
-        codes, vecs = _element_images(grid, x, entries)
-        if codes[0] == 0:
-            continue
-        shifts = codes if grid.rank == 1 else vecs
-        by_sig.setdefault(codes, [shifts, []])[1].append((code, x))
-    cands = []
-    for sig in sorted(by_sig, key=lambda s: by_sig[s][1][0][0]):
-        shifts, pairs = by_sig[sig]
-        cands.append((pairs[0][0], tuple(shifts), tuple(v for _, v in pairs)))
-    return grid, cands
+        codes, shifts = _element_images(grid, x, entries)
+        if codes[0]:
+            yield x, codes, shifts
 
 
-def _root_flags(moduli, grid, cands):
-    """Mark classes usable as the first (smallest) class of a multiset.
+def _prepare_candidates(moduli, entries):
+    """Group usable elements into classes with equal weighted-image sets:
+    a list of (shift forms, members).
 
-    Scaling by a unit permutes zero-sum-free multisets, so only classes that
-    are minimal within their unit orbit need to seed the search; the witness
-    expansion closes results back under the same scalings.  Applies only to
-    uniform moduli, where unit scaling is an automorphism.
+    The scan runs in code order, so classes come ordered by their smallest
+    member code, which fixes the enumeration order everywhere.
     """
-    k = len(cands)
+    by_sig = {}
+    for x, codes, shifts in _usable_elements(_grid(moduli), entries):
+        by_sig.setdefault(codes, (shifts, []))[1].append(x)
+    return [(shifts, tuple(members)) for shifts, members in by_sig.values()]
+
+
+def _unit_action(moduli, cands):
+    """The units of Z_n acting on candidate classes: (units, act), where
+    act(u, i) is the index of the class holding u times class i's members.
+
+    For uniform moduli scaling by a unit is an automorphism that maps
+    weighted-image sets to weighted-image sets, so it permutes the classes;
+    for other moduli only ((1,), identity) applies.  act is lazy because the
+    root test all(act(u, i) >= i for u in units) must stop at the first unit
+    that lowers a class: a table over all units and classes costs more than
+    the search it seeds at large n.
+    """
     if len(set(moduli)) != 1:
-        return [True] * k
+        return (1,), lambda u, i: i
     n = moduli[0]
-    us = units(n)
-    if len(us) == 1:
-        return [True] * k
-    class_of = {}
-    for i, (_, _, members) in enumerate(cands):
-        for v in members:
-            class_of[v if grid.rank == 1 else grid.encode(v)] = i
-    flags = []
-    for rep, _, _ in cands:
-        ok = True
-        for u in us:
-            if grid.rank == 1:
-                scaled = (u * rep) % n
-            else:
-                scaled = grid.encode(
-                    tuple((u * c) % n for c in grid.decode(rep))
-                )
-            if cands[class_of[scaled]][0] < rep:
-                ok = False
-                break
-        flags.append(ok)
-    return flags
+    class_of = {x: i for i, (_, members) in enumerate(cands) for x in members}
+    reps = [members[0] for _, members in cands]
+    if len(moduli) == 1:
+        def act(u, i):
+            return class_of[(u * reps[i]) % n]
+    else:
+        def act(u, i):
+            return class_of[tuple((u * c) % n for c in reps[i])]
+    return units(n), act
 
 
 def _run_roots(branch, args, budget):
@@ -224,43 +222,37 @@ def _run_branch(args):
         memo.clear()
 
 
-def _scaled(elems, u, n, rank):
-    """The multiset elems scaled by the unit u, sorted."""
-    if rank == 1:
-        return tuple(sorted((u * x) % n for x in elems))
-    return tuple(sorted(tuple((u * c) % n for c in x) for x in elems))
-
-
-def _expand_witnesses(moduli, grid, cands, cores):
-    """Expand class-level cores into element multisets, closed under units."""
-    out = set()
-    for core in cores:
+def _expand_witnesses(moduli, cands, cores, us, act):
+    """Close class-level cores under units, then expand them into element
+    multisets.  Classes partition the elements, so distinct closed cores
+    expand to disjoint sets and need no dedup."""
+    closed = {
+        tuple(sorted(act(u, i) for i in core)) for core in cores for u in us
+    }
+    out = []
+    for core in closed:
         pools = [
-            list(combinations_with_replacement(cands[i][2], mult))
+            combinations_with_replacement(cands[i][1], mult)
             for i, mult in sorted(Counter(core).items())
         ]
         for pick in iter_product(*pools):
-            elems = []
-            for group in pick:
-                elems.extend(group)
-            out.add(tuple(sorted(elems)))
-    if len(set(moduli)) == 1:
-        n = moduli[0]
-        us = units(n)
-        out = {_scaled(elems, u, n, grid.rank) for elems in out for u in us}
-    return tuple(ZSequence(moduli, e) for e in sorted(out))
+            out.append(tuple(sorted(sum(pick, ()))))
+    out.sort()
+    return tuple(ZSequence(moduli, e) for e in out)
 
 
 def _search(moduli, entries, budget, collect):
-    grid, cands = _prepare_candidates(moduli, entries)
+    cands = _prepare_candidates(moduli, entries)
     if not cands:
         witnesses = (ZSequence(moduli, ()),) if collect else None
         return 0, witnesses, 0, True
-    flags = _root_flags(moduli, grid, cands)
-    shifts = tuple(c[1] for c in cands)
+    us, act = _unit_action(moduli, cands)
+    shifts = tuple(c[0] for c in cands)
+    # only classes minimal in their unit orbit seed the search; the witness
+    # closure restores the rest
     args = [
         (moduli, shifts, i, budget.max_nodes, collect)
-        for i, ok in enumerate(flags) if ok
+        for i in range(len(cands)) if all(act(u, i) >= i for u in us)
     ]
     results = _run_roots(_run_branch, args, budget)
     max_len = max(r[0] for r in results)
@@ -269,7 +261,7 @@ def _search(moduli, entries, budget, collect):
     witnesses = None
     if collect and exhaustive:
         cores = [c for r in results if r[0] == max_len for c in r[1]]
-        witnesses = _expand_witnesses(moduli, grid, cands, cores)
+        witnesses = _expand_witnesses(moduli, cands, cores, us, act)
     return max_len, witnesses, nodes, exhaustive
 
 
@@ -322,9 +314,15 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
     if not orbit_reduced or len(set(moduli)) != 1:
         return witnesses
     base = moduli[0]
-    rank = len(moduli)
-    us = units(base)
-    reps = {min(_scaled(w.elements, u, base, rank) for u in us) for w in witnesses}
+    flat = len(moduli) == 1
+
+    def scaled(elems, u):
+        return tuple(sorted(
+            (u * x) % base if flat else tuple((u * c) % base for c in x)
+            for x in elems
+        ))
+
+    reps = {min(scaled(w.elements, u) for u in units(base)) for w in witnesses}
     return tuple(ZSequence(moduli, e) for e in sorted(reps))
 
 
@@ -339,14 +337,7 @@ def zero_sum_free_sequences(n, weights, length):
     if length == 0:
         yield ZSequence(moduli, ())
         return
-    elems = []
-    for code in range(1, grid.size):
-        x = code if grid.rank == 1 else grid.decode(code)
-        codes, vecs = _element_images(grid, x, entries)
-        if codes[0] == 0:
-            continue
-        elems.append((x, codes if grid.rank == 1 else vecs))
-    elems.sort()
+    elems = sorted((x, sh) for x, _, sh in _usable_elements(grid, entries))
     size = grid.size
     seq = []
 

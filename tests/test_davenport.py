@@ -214,6 +214,10 @@ def test_zero_sum_free_sequence_listing(moduli, A, elements):
             want.append(tup)
     assert sorted(got) == sorted(want)
     assert got == sorted(got)
+    # the class-merged search, seeded from unit-orbit-minimal roots and
+    # closed under units afterwards, must list the same longest sequences
+    witnesses = exact_davenport(moduli, A).witnesses
+    assert [w.elements for w in witnesses] == got
 
     assert list(zero_sum_free_sequences(moduli, A, 4)) == []
     empties = list(zero_sum_free_sequences(moduli, A, 0))
