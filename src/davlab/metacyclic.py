@@ -1,29 +1,27 @@
 """Product-one-free sequences in the semidirect product C_n : C_2.
 
 Elements are pairs (eps, a) standing for x^eps y^a, where y has order n and
-the order-2 generator x conjugates y to y^s with s*s = 1 (mod n).  A cyclic
-rotation of a product-one word is again product-one, so a sequence S stays
-product-one-free after appending g exactly when the inverse of g is not an
-ordered product of any sub-multiset of S.  Those ordered products decompose
-by the parity of reflection-type factors: plain-type exponents pick up a
-free sign s^e once any reflection is present, and the reflection exponents
-split into ceil(m/2) slots weighted 1 and floor(m/2) slots weighted s.  The
-search maintains exactly these slot sums as bitsets, which makes the
-append-feasibility test one bit probe per candidate.
+the order-2 generator x conjugates y to y^s with s*s = 1 (mod n).  The
+a-part of a product is the sum of a_i * s^(reflections after factor i), so
+the ordered products of a multiset are slot sums: plain exponents weigh 1,
+or freely 1 or s once any reflection is present, and m reflections fill
+ceil(m/2) slots weighted 1 and floor(m/2) weighted s.  _slot_append keeps
+these sums as bitsets keyed by (kind, balance): kind 0 plain sums, kind 1
+plain sums with free weights, kind 2 sums holding a reflection, balance the
+weight-1 minus weight-s reflection slots.  A cyclic rotation of a
+product-one word is again product-one, so a sequence stays product-one-free
+after appending g exactly when the inverse of g is not such a sum; the
+explorer tests that with one bit probe per candidate, and the product-one
+detector runs the same fold once per pick count.
 """
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .davenport import CLOCK_EVERY, SearchBudget, _Abort, _run_roots
-from .errors import BudgetExceededError, TooLargeError, WrongLengthError
+from .errors import BudgetExceededError, WrongLengthError
 from .modring import divisors, units
-
-# Hard cap for the ordered-product subset table (2**m bitsets).
-SUBSET_DP_CAP = 24
-
 
 @dataclass(frozen=True, order=True)
 class MetaElem:
@@ -151,125 +149,110 @@ class OrderedCertificate:
         return acc == IDENTITY
 
 
+# The empty sequence: the empty plain sum in kinds 0 and 1.
+_EMPTY_SLOTS = {(0, 0): 1, (1, 0): 1}
+
+
+def _slot_append(base, state, eps, a, n, s):
+    """Slot sums of base together with those of state after appending x^eps y^a.
+
+    A state maps (kind, balance) to a bitset over Z_n; kinds 0 and 1 sit at
+    balance 0.  Appending y^a rotates kind 0 by a and kinds 1 and 2 by both a
+    and a*s.  Appending x y^a takes kinds 1 and 2 to kind 2, rotated by a
+    with balance + 1 and by a*s with balance - 1.
+
+    Ordering rule: a kind-2 sum at balance 0 is the a-part of the product
+    that alternates its reflections s-slot, 1-slot, ending on a 1-slot, and
+    puts the s-weighted plain factors just before the last reflection and the
+    1-weighted ones after it.  At balance +1 one more 1-slot reflection leads.
+    """
+    mask = (1 << n) - 1
+    a_s = a * s % n
+    out = dict(base)
+    for (kind, bal), bits in state.items():
+        if eps == 0:
+            moved = ((bits << a) | (bits >> (n - a))) & mask
+            if kind:
+                moved |= ((bits << a_s) | (bits >> (n - a_s))) & mask
+            out[kind, bal] = out.get((kind, bal), 0) | moved
+        elif kind:
+            up, down = (2, bal + 1), (2, bal - 1)
+            out[up] = out.get(up, 0) | ((bits << a) | (bits >> (n - a))) & mask
+            out[down] = out.get(down, 0) | ((bits << a_s) | (bits >> (n - a_s))) & mask
+    return out
+
+
 def has_product_one_subsequence(S):
     """Smallest sub-multiset of S with a product-one ordering, or None.
 
-    Ordered-product sets are folded per subset as bitsets over the 2n group
-    elements, visiting subsets by size so the first hit is minimal; the
-    ordering is then reconstructed by peeling last factors.
+    layers[t][j] is the slot-sum state of the t-element sub-multisets of the
+    first j elements; the first t whose full layer holds 0 in kind 0 or in
+    kind 2 at balance 0 is minimal.  Walking back through the prefix layers
+    recovers the picks and their slots, which _slot_append's ordering rule
+    turns into a multiplication order.
     """
-    spec = S.spec
-    m = len(S.elements)
-    if m > SUBSET_DP_CAP:
-        raise TooLargeError(
-            f"ordered-product table is capped at {SUBSET_DP_CAP} elements, got {m}"
-        )
-    if m == 0:
-        return None
-    n = spec.n
-    width = 2 * n
-    decode = spec.all_elements()
-
-    def enc(g):
-        return g.eps * n + g.a
-
-    # Right multiplication by g as byte-sliced lookup tables.
-    tables = {}
-    n_bytes = (width + 7) // 8
-    for g in set(S.elements):
-        perm = [enc(mul(decode[v], g, spec)) for v in range(width)]
-        tbl = []
-        for bi in range(n_bytes):
-            row = [0] * 256
-            for pat in range(1, 256):
-                low = pat & -pat
-                v = 8 * bi + low.bit_length() - 1
-                row[pat] = row[pat ^ low]
-                if v < width:
-                    row[pat] |= 1 << perm[v]
-            tbl.append(row)
-        tables[g] = tbl
-
-    def rmul(bits, g):
-        tbl = tables[g]
-        out = 0
-        bi = 0
-        while bits:
-            byte = bits & 255
-            if byte:
-                out |= tbl[bi][byte]
-            bits >>= 8
-            bi += 1
-        return out
-
-    if width <= 64 and m > 18:
-        from array import array
-
-        prod = array("Q", bytes(8 << m))
-    else:
-        prod = {}
+    n, s = S.spec.n, S.spec.s
     elems = S.elements
-    singles = [1 << enc(g) for g in elems]
-    found = None
-    for r in range(1, m + 1):
-        for combo in combinations(range(m), r):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if r == 1:
-                val = singles[combo[0]]
-            else:
-                val = 0
-                for i in combo:
-                    val |= rmul(prod[mask ^ (1 << i)], elems[i])
-            prod[mask] = val
-            if val & 1:
-                found = mask
-                break
-        if found is not None:
+    m = len(elems)
+    layers = [[_EMPTY_SLOTS] * (m + 1)]
+    for t in range(1, m + 1):
+        prev = layers[-1]
+        row = [{}]
+        for j, g in enumerate(elems):
+            row.append(_slot_append(row[j], prev[j], g.eps, g.a, n, s))
+        layers.append(row)
+        key = next((k for k in ((0, 0), (2, 0)) if row[m].get(k, 0) & 1), None)
+        if key is not None:
             break
-    if found is None:
+    else:
         return None
 
-    # Peel the last factor: a prefix of target ending in g_i must multiply
-    # to target * g_i^{-1}.
-    order = []
-    target = IDENTITY
-    rest = found
-    while rest.bit_count() > 1:
-        probe = rest
-        while probe:
-            low = probe & -probe
-            i = low.bit_length() - 1
-            want = mul(target, inverse(elems[i], spec), spec)
-            if (prod[rest ^ low] >> enc(want)) & 1:
-                order.append(i)
-                target = want
-                rest ^= low
-                break
-            probe ^= low
+    # picks: (1-based position, eps, whether its slot is weighted s)
+    picks = []
+    value = 0
+    j = m
+    while t:
+        j -= 1
+        if (layers[t][j].get(key, 0) >> value) & 1:
+            continue
+        g = elems[j]
+        kind, bal = key
+        if g.eps == 0:
+            # in kind 0 the weight-1 option always holds, so it comes first
+            options = [(key, g.a, False), (key, g.a * s, True)]
         else:
-            raise RuntimeError("ordered-product reconstruction lost the trail")
-    last = rest.bit_length() - 1
-    if elems[last] != target:
-        raise RuntimeError("ordered-product reconstruction lost the trail")
-    order.append(last)
-    order.reverse()
-    in_order = tuple(i + 1 for i in order)
-    return OrderedCertificate(positions=tuple(sorted(in_order)), order=in_order)
+            # kind 1 lives at balance 0 only; (1, bal -+ 1) is empty elsewhere
+            options = [((k, bal - 1), g.a, False) for k in (1, 2)]
+            options += [((k, bal + 1), g.a * s, True) for k in (1, 2)]
+        prev = layers[t - 1][j]
+        for key, shift, heavy in options:
+            if (prev.get(key, 0) >> ((value - shift) % n)) & 1:
+                break
+        else:
+            raise RuntimeError("slot-sum walk lost the trail")
+        value = (value - shift) % n
+        picks.append((j + 1, g.eps, heavy))
+        t -= 1
+
+    picks.reverse()
+    heavy_refl = [p for p, eps, heavy in picks if eps and heavy]
+    light_refl = [p for p, eps, heavy in picks if eps and not heavy]
+    order = [p for pair in zip(heavy_refl, light_refl) for p in pair]
+    order[-1:-1] = [p for p, eps, heavy in picks if not eps and heavy]
+    order += [p for p, eps, heavy in picks if not eps and not heavy]
+    return OrderedCertificate(positions=tuple(sorted(order)), order=tuple(order))
 
 
 def _branch_explore(args):
     """Enumerate free multisets whose smallest candidate is the given root.
 
-    State per node: P = plain subset sums of eps=0 exponents, W = the same
-    with each term freely multiplied by s, D[(c1, c2)] = sums of eps=1
-    exponents split into c1 unweighted and c2 s-weighted slots.  A candidate
-    survives iff the bit of its inverse is absent from the matching parity
-    mask.  Returns (deepest depth, hits at target length, nodes, completed).
+    The node state is the _slot_append state of the sequence so far.  A
+    plain candidate y^v is blocked when -v lies in kind 0 or in kind 2 at
+    balance 0 (an even, nonzero number of reflections); a reflection x y^v is
+    blocked when its inverse's exponent -v*s lies in kind 2 at balance +1.
+    Returns (deepest depth, hits at target length, nodes, completed).
     """
     n, s, root, target, max_nodes, deadline = args
-    mask_all = (1 << n) - 1
     cands = [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
     root_idx = cands.index(root)
     nodes = 0
@@ -277,35 +260,8 @@ def _branch_explore(args):
     found = []
     seq = [root]
 
-    def rot(bits, t):
-        if not t:
-            return bits
-        return ((bits << t) | (bits >> (n - t))) & mask_all
-
-    def mink(x, y):
-        if not x or not y:
-            return 0
-        if x.bit_count() < y.bit_count():
-            x, y = y, x
-        out = 0
-        while y:
-            low = y & -y
-            out |= rot(x, low.bit_length() - 1)
-            y ^= low
-        return out
-
-    P = 1
-    W = 1
-    D = {(0, 0): 1}
-    eps0, v0 = root
-    if eps0 == 0:
-        P |= rot(P, v0)
-        W = W | rot(W, v0) | rot(W, (v0 * s) % n)
-    else:
-        D = {(0, 0): 1, (1, 0): 1 << v0, (0, 1): 1 << ((v0 * s) % n)}
-
-    def rec(last, depth):
-        nonlocal nodes, deepest, P, W, D
+    def rec(last, depth, state):
+        nonlocal nodes, deepest
         nodes += 1
         if nodes > max_nodes:
             raise _Abort
@@ -316,46 +272,21 @@ def _branch_explore(args):
         if target is not None and depth == target:
             found.append(tuple(seq))
             return
-        odd = 0
-        even = 0
-        for (c1, c2), bits in D.items():
-            if c1 == c2 + 1:
-                odd |= bits
-            elif c1 == c2 and c1:
-                even |= bits
-        blocked_plain = P | mink(even, W)
-        blocked_refl = mink(odd, W)
+        blocked_plain = state[0, 0] | state.get((2, 0), 0)
+        blocked_refl = state.get((2, 1), 0)
         for i in range(last, len(cands)):
             eps, v = cands[i]
             if eps == 0:
                 if (blocked_plain >> (n - v)) & 1:
                     continue
-                save_p, save_w = P, W
-                seq.append(cands[i])
-                P |= rot(P, v)
-                W = W | rot(W, v) | rot(W, (v * s) % n)
-                rec(i, depth + 1)
-                P, W = save_p, save_w
-                seq.pop()
-            else:
-                if (blocked_refl >> ((n - v * s) % n)) & 1:
-                    continue
-                save_d = D
-                seq.append(cands[i])
-                vs = (v * s) % n
-                nxt = dict(save_d)
-                for (c1, c2), bits in save_d.items():
-                    k1 = (c1 + 1, c2)
-                    nxt[k1] = nxt.get(k1, 0) | rot(bits, v)
-                    k2 = (c1, c2 + 1)
-                    nxt[k2] = nxt.get(k2, 0) | rot(bits, vs)
-                D = nxt
-                rec(i, depth + 1)
-                D = save_d
-                seq.pop()
+            elif (blocked_refl >> ((n - v * s) % n)) & 1:
+                continue
+            seq.append(cands[i])
+            rec(i, depth + 1, _slot_append(state, state, eps, v, n, s))
+            seq.pop()
 
     try:
-        rec(root_idx, 1)
+        rec(root_idx, 1, _slot_append(_EMPTY_SLOTS, _EMPTY_SLOTS, *root, n, s))
         return deepest, found, nodes, True
     except _Abort:
         return deepest, found, nodes, False

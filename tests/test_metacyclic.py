@@ -180,6 +180,33 @@ def test_product_one_matches_ordered_bruteforce():
             assert cert.holds_for(S)
 
 
+def test_product_one_matches_oracle_on_every_small_multiset():
+    # every multiset of length 1..4 in every C_n x|_s C_2 with n <= 6
+    cases = 0
+    for n in range(3, 7):
+        for s in [s for s in range(1, n) if s * s % n == 1]:
+            spec = GroupSpec(n, s)
+            for length in range(1, 5):
+                for tup in combinations_with_replacement(spec.all_elements(), length):
+                    S = GSequence(spec, tup)
+                    cert = has_product_one_subsequence(S)
+                    assert (cert is not None) == product_one_oracle(S)
+                    assert cert is None or cert.holds_for(S)
+                    cases += 1
+    assert cases == 7044
+
+
+def test_product_one_has_no_length_cap():
+    d30 = GroupSpec.dihedral(30)
+    S = GSequence(d30, [(0, 1)] * 30)
+    cert = has_product_one_subsequence(S)
+    assert cert.positions == tuple(range(1, 31))
+    assert cert.holds_for(S)
+    assert has_product_one_subsequence(GSequence(d30, [(0, 1)] * 29)) is None
+    d100 = GroupSpec.dihedral(100)
+    assert has_product_one_subsequence(GSequence(d100, [(0, 1)] * 40)) is None
+
+
 def test_product_one_certificate_is_minimal():
     rng = random.Random(0x717E)
     for _ in range(120):
