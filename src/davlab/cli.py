@@ -167,7 +167,8 @@ def _budget_options(fn):
     )(fn)
     fn = click.option(
         "--max-nodes", type=int, default=20_000_000, show_default=True,
-        help="Node budget per root branch.",
+        help="Node budget per root branch: one node per new search state or "
+        "listed chain (memo hits cost none), in exact and classify alike.",
     )(fn)
     return click.option(
         "--budget-seconds", type=float, default=None,

@@ -8,6 +8,10 @@ some multiple of an image would chain down to zero), which caps the depth at
 |G| - 1 and gives an admissible capacity prune.  Search states (bitset,
 lowest admissible class) are memoized exactly.
 
+_run_branch is the one branch engine: it is handed a search space (a fold
+over int states, the candidate forms and a capacity base).  The zero-sum
+fold here (_zero_sum_space) and metacyclic's slot-sum fold are its instances.
+
 For uniform moduli, scaling by a unit of Z_n permutes the classes and the
 zero-sum-free multisets, and classes are ordered by their smallest member, so
 only classes that no unit maps to a lower index seed the search.  The same
@@ -27,6 +31,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iter_product
+from math import prod
 
 from .bounds import lower_bound, upper_bound
 from .errors import BoundViolationError, BudgetExceededError, TooLargeError
@@ -127,39 +132,63 @@ def _unit_action(moduli, cands):
     return units(n), act
 
 
-def _run_roots(branch, args, budget):
-    """branch(arg + (deadline,)) for every arg, in order, serially or on a
-    process pool; all branches share one wall-clock deadline.
-
-    The monotonic clock is system wide, so forked workers compare against
-    the same deadline as the parent.
+def _run_roots(space, space_args, roots, budget, collect, length=None):
+    """_run_branch on every root, in order, serially or on a process pool:
+    (longest length, chains, nodes, exhaustive).  With length None only the
+    roots reaching the longest length give chains.  Every root and forked
+    worker reads one deadline off the system-wide monotonic clock.
     """
     deadline = time.monotonic() + budget.max_seconds
-    jobs = [a + (deadline,) for a in args]
+    jobs = [
+        (space, space_args, root, budget.max_nodes, collect, length, deadline)
+        for root in roots
+    ]
     if budget.parallel_width == 1 or len(jobs) == 1:
-        return [branch(job) for job in jobs]
-    workers = min(budget.parallel_width, len(jobs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(branch, jobs))
+        results = [_run_branch(job) for job in jobs]
+    else:
+        workers = min(budget.parallel_width, len(jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_branch, jobs))
+    best = max(r[0] for r in results)
+    chains = [c for r in results if length is not None or r[0] == best
+              for c in r[1]]
+    return best, chains, sum(r[2] for r in results), all(r[3] for r in results)
+
+
+def _zero_sum_space(moduli, shifts):
+    """Reachable-sum bitsets: a zero sum blocks, |G| - 1 nonzero sums cap."""
+    grid = _grid(moduli)
+    return grid.fold, shifts, grid.size - 1
 
 
 def _run_branch(args):
-    """Exhaust one root class: (best length, witness cores, nodes, completed).
+    """Exhaust one root candidate: (best length, chains, nodes, completed).
 
-    Phase one memoizes the longest extension of every (bitset, class) state;
-    phase two walks back down recording every state chain that attains the
-    branch maximum.  On abort the deepest zero-sum-free prefix seen so far is
-    returned as a certified lower bound.
+    space(*space_args) gives (fold, forms, cap_base).  A state is an int,
+    0 for the empty sequence; fold(state, forms[i]) appends candidate i and
+    sets bit 0 when that is not allowed.  cap_base minus a state's popcount
+    must bound how many appends can still follow.  Chains are nondecreasing
+    candidate indices from root.
+
+    Phase one memoizes the longest extension of every (state, lowest
+    candidate) pair, one table per candidate keyed by the state; with a
+    length set, a loop stops once it reaches that length (best is then at
+    least length) and its entry is kept negated, as a lower bound.  With
+    collect set, phase two walks back down recording every chain of the
+    length (None: the branch maximum).  Nodes are memo entries and chains;
+    each other walk step re-enters a counted state on the way to a chain.
+    On abort the deepest chain seen is a certified lower bound, returned
+    with the chains walked so far: all those found, as phase one stops at
+    its first chain of a set length.
     """
-    moduli, shift_of, root_idx, max_nodes, collect, deadline = args
-    grid = _grid(moduli)
-    fold = grid.fold
-    n_classes = len(shift_of)
-    cap_base = grid.size - 1
-    nodes = 0
-    deepest = 0
-    memo = {}
-    cores = []
+    space, space_args, root, max_nodes, collect, length, deadline = args
+    fold, forms, cap_base = space(*space_args)
+    n_forms = len(forms)
+    # no sequence is longer than cap_base, so without a length no loop stops
+    goal = cap_base + 1 if length is None else length
+    nodes = deepest = 0
+    memo = [{} for _ in range(n_forms)]
+    chains = []
 
     def tick(depth):
         nonlocal nodes, deepest
@@ -172,14 +201,17 @@ def _run_branch(args):
             raise _Abort
 
     def max_ext(R, last, depth):
-        key = (R << 12) | last
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        need = goal - depth
+        if need <= 0:
+            return 0
+        table = memo[last]
+        hit = table.get(R)
+        if hit is not None and (hit >= 0 or hit <= -need):
+            return abs(hit)
         tick(depth)
         best = 0
-        for i in range(last, n_classes):
-            Rp = fold(R, shift_of[i])
+        for i in range(last, n_forms):
+            Rp = fold(R, forms[i])
             if Rp & 1:
                 continue
             if 1 + (cap_base - Rp.bit_count()) <= best:
@@ -187,35 +219,38 @@ def _run_branch(args):
             sub = 1 + max_ext(Rp, i, depth + 1)
             if sub > best:
                 best = sub
-        memo[key] = best
+                if best >= need:
+                    table[R] = -best
+                    return best
+        table[R] = best
         return best
 
     def walk(R, last, remaining, prefix):
-        tick(len(prefix))
         if not remaining:
-            cores.append(tuple(prefix))
+            tick(len(prefix))
+            chains.append(tuple(prefix))
             return
-        for i in range(last, n_classes):
-            Rp = fold(R, shift_of[i])
+        for i in range(last, n_forms):
+            Rp = fold(R, forms[i])
             if Rp & 1:
                 continue
             if 1 + (cap_base - Rp.bit_count()) < remaining:
                 continue
-            if 1 + max_ext(Rp, i, len(prefix) + 1) == remaining:
+            if 1 + max_ext(Rp, i, len(prefix) + 1) >= remaining:
                 prefix.append(i)
                 walk(Rp, i, remaining - 1, prefix)
                 prefix.pop()
 
     try:
-        R0 = fold(0, shift_of[root_idx])
-        best = 1 + max_ext(R0, root_idx, 1)
-        if best > deepest:
-            deepest = best
-        if collect:
-            walk(R0, root_idx, best - 1, [root_idx])
-        return best, tuple(cores), nodes, True
+        R0 = fold(0, forms[root])
+        best = 1 + max_ext(R0, root, 1)
+        deepest = max(deepest, best)
+        target = best if length is None else length
+        if collect and target <= best:
+            walk(R0, root, target - 1, [root])
+        return best, tuple(chains), nodes, True
     except _Abort:
-        return deepest, (), nodes, False
+        return deepest, tuple(chains), nodes, False
     finally:
         # max_ext and walk refer to themselves, so the memo they close over
         # would otherwise live until the cyclic collector runs.
@@ -226,15 +261,11 @@ def _expand_witnesses(moduli, cands, cores, us, act):
     """Close class-level cores under units, then expand them into element
     multisets.  Classes partition the elements, so distinct closed cores
     expand to disjoint sets and need no dedup."""
-    closed = {
-        tuple(sorted(act(u, i) for i in core)) for core in cores for u in us
-    }
+    closed = {tuple(sorted(act(u, i) for i in core)) for core in cores for u in us}
     out = []
     for core in closed:
-        pools = [
-            combinations_with_replacement(cands[i][1], mult)
-            for i, mult in sorted(Counter(core).items())
-        ]
+        pools = [combinations_with_replacement(cands[i][1], mult)
+                 for i, mult in sorted(Counter(core).items())]
         for pick in iter_product(*pools):
             out.append(tuple(sorted(sum(pick, ()))))
     out.sort()
@@ -250,26 +281,18 @@ def _search(moduli, entries, budget, collect):
     shifts = tuple(c[0] for c in cands)
     # only classes minimal in their unit orbit seed the search; the witness
     # closure restores the rest
-    args = [
-        (moduli, shifts, i, budget.max_nodes, collect)
-        for i in range(len(cands)) if all(act(u, i) >= i for u in us)
-    ]
-    results = _run_roots(_run_branch, args, budget)
-    max_len = max(r[0] for r in results)
-    nodes = sum(r[2] for r in results)
-    exhaustive = all(r[3] for r in results)
+    roots = [i for i in range(len(cands)) if all(act(u, i) >= i for u in us)]
+    max_len, cores, nodes, exhaustive = _run_roots(
+        _zero_sum_space, (moduli, shifts), roots, budget, collect)
     witnesses = None
     if collect and exhaustive:
-        cores = [c for r in results if r[0] == max_len for c in r[1]]
         witnesses = _expand_witnesses(moduli, cands, cores, us, act)
     return max_len, witnesses, nodes, exhaustive
 
 
 def _checked_moduli(n):
     moduli = _as_moduli(n)
-    size = 1
-    for m in moduli:
-        size *= m
+    size = prod(moduli)
     if size > MAX_GROUP_BITS:
         raise TooLargeError(
             f"group order {size} exceeds the {MAX_GROUP_BITS} bitset cap"

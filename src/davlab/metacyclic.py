@@ -5,21 +5,22 @@ the order-2 generator x conjugates y to y^s with s*s = 1 (mod n).  The
 a-part of a product is the sum of a_i * s^(reflections after factor i), so
 the ordered products of a multiset are slot sums: plain exponents weigh 1,
 or freely 1 or s once any reflection is present, and m reflections fill
-ceil(m/2) slots weighted 1 and floor(m/2) weighted s.  _slot_append keeps
-these sums as bitsets keyed by (kind, balance): kind 0 plain sums, kind 1
-plain sums with free weights, kind 2 sums holding a reflection, balance the
-weight-1 minus weight-s reflection slots.  A cyclic rotation of a
-product-one word is again product-one, so a sequence stays product-one-free
-after appending g exactly when the inverse of g is not such a sum; the
-explorer tests that with one bit probe per candidate, and the product-one
-detector runs the same fold once per pick count.
+ceil(m/2) slots weighted 1 and floor(m/2) weighted s.  _SlotSums packs these
+sums into one int of n-bit lanes, one lane per (kind, balance): kind 0 plain
+sums, kind 1 plain sums with free weights, kind 2 sums holding a reflection,
+balance the weight-1 minus weight-s reflection slots.  A cyclic rotation of
+a product-one word is again product-one, so a sequence stays
+product-one-free after appending g exactly when the inverse of g is not
+such a sum.  The classification and small Davenport searches run that fold
+through davenport._run_branch (_slot_space); the product-one detector runs
+it once per pick count.
 """
 
-import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from .davenport import CLOCK_EVERY, SearchBudget, _Abort, _run_roots
+from .davenport import SearchBudget, _run_roots
 from .errors import BudgetExceededError, WrongLengthError
 from .modring import divisors, units
 
@@ -72,12 +73,6 @@ def inverse(g, spec):
     if g.eps:
         return MetaElem(1, (-g.a * spec.s) % spec.n)
     return MetaElem(0, (-g.a) % spec.n)
-
-
-def pairing_identity_check(alpha, beta, spec):
-    """Sanity probe: moving s across a two-term sum swaps the summands."""
-    n, s = spec.n, spec.s
-    return ((alpha * s + beta) * s) % n == (beta * s + alpha) % n
 
 
 @dataclass(frozen=True, init=False)
@@ -149,37 +144,83 @@ class OrderedCertificate:
         return acc == IDENTITY
 
 
-# The empty sequence: the empty plain sum in kinds 0 and 1.
-_EMPTY_SLOTS = {(0, 0): 1, (1, 0): 1}
+class _SlotSums:
+    """Slot-sum states of C_n : C_2 packed into one int, and their fold.
 
+    A state holds sums over Z_n in lanes of n bits: bit lane * n + v marks
+    the sum v.  Lane 0 is kind 0 and lane 1 kind 1, both at balance 0; kind
+    2 at balance b sits on lane 2 + 2b for b >= 0 and on lane 1 - 2b for
+    b < 0, so a state's int grows only with the balances in use.  The empty
+    sequence is the empty plain sum in kinds 0 and 1 (self.empty).
 
-def _slot_append(base, state, eps, a, n, s):
-    """Slot sums of base together with those of state after appending x^eps y^a.
-
-    A state maps (kind, balance) to a bitset over Z_n; kinds 0 and 1 sit at
-    balance 0.  Appending y^a rotates kind 0 by a and kinds 1 and 2 by both a
-    and a*s.  Appending x y^a takes kinds 1 and 2 to kind 2, rotated by a
-    with balance + 1 and by a*s with balance - 1.
+    Appending y^a rotates kind 0 by a and kinds 1 and 2 by both a and a*s.
+    Appending x y^a takes kinds 1 and 2 to kind 2, rotated by a with balance
+    + 1 and by a*s with balance - 1.
 
     Ordering rule: a kind-2 sum at balance 0 is the a-part of the product
     that alternates its reflections s-slot, 1-slot, ending on a 1-slot, and
     puts the s-weighted plain factors just before the last reflection and the
     1-weighted ones after it.  At balance +1 one more 1-slot reflection leads.
     """
-    mask = (1 << n) - 1
-    a_s = a * s % n
-    out = dict(base)
-    for (kind, bal), bits in state.items():
-        if eps == 0:
-            moved = ((bits << a) | (bits >> (n - a))) & mask
-            if kind:
-                moved |= ((bits << a_s) | (bits >> (n - a_s))) & mask
-            out[kind, bal] = out.get((kind, bal), 0) | moved
-        elif kind:
-            up, down = (2, bal + 1), (2, bal - 1)
-            out[up] = out.get(up, 0) | ((bits << a) | (bits >> (n - a))) & mask
-            out[down] = out.get(down, 0) | ((bits << a_s) | (bits >> (n - a_s))) & mask
-    return out
+
+    def __init__(self, n, s):
+        self.n, self.s = n, s
+        self.empty = 1 | 1 << n
+        lane = (1 << n) - 1
+        self.lane1, self.lane2, self.lane3 = lane << n, lane << 2 * n, lane << 3 * n
+        self._widen(8)
+
+    def _widen(self, span):
+        # Masks over span lanes, rebuilt at twice the span a longer state
+        # needs: (bits of the longest state an append takes, as appends move
+        # lanes up by at most three; rot[a], filled by _rotation on first use
+        # of a; every other lane from lane 1, 5, 2 and 4 on).
+        n = self.n
+        lane = (1 << n) - 1
+
+        def lanes(first, step=2):
+            return sum(lane << (i * n) for i in range(first, span, step))
+
+        self.ones, self.rot = lanes(0, 1) // lane, [None] * (n + 1)
+        self.masks = ((span - 3) * n, self.rot, lanes(1), lanes(5), lanes(2), lanes(4))
+        return self.masks
+
+    def _rotation(self, a):
+        # the low n - a bits of every lane, which move up by a, and the low a
+        # bits, where the top a bits land
+        ones = self.ones
+        masks = self.rot[a] = ((ones << (self.n - a)) - ones, (ones << a) - ones)
+        return masks
+
+    def append(self, base, state, eps, a):
+        """base together with the sums of state after appending x^eps y^a."""
+        n = self.n
+        fits, rot, odd, odd5, even, even4 = self.masks
+        if state.bit_length() > fits:
+            fits, rot, odd, odd5, even, even4 = self._widen(
+                2 * (-(-state.bit_length() // n) + 3))
+        if eps:
+            light = ((state & self.lane1) << 3 * n | (state & even) << 2 * n
+                     | (state & self.lane3) >> n | (state & odd5) >> 2 * n)
+            heavy = ((state & odd) << 2 * n | (state & self.lane2) << n
+                     | (state & even4) >> 2 * n)
+        else:
+            light, heavy = state, state >> n << n
+        # every lane of light rotates up by a, every lane of heavy by a*s
+        a_s = a * self.s % n
+        stay, wrap = rot[a] or self._rotation(a)
+        stay_s, wrap_s = rot[a_s] or self._rotation(a_s)
+        return (base | (light & stay) << a | (light >> (n - a)) & wrap
+                | (heavy & stay_s) << a_s | (heavy >> (n - a_s)) & wrap_s)
+
+    def has(self, state, kind, bal, v):
+        """Whether state holds the sum v in (kind, bal); kind 1 has bal 0 only."""
+        lane = kind if kind < 2 else 2 + 2 * bal if bal >= 0 else 1 - 2 * bal
+        return (kind == 2 or not bal) and (state >> (lane * self.n + v % self.n)) & 1
+
+
+# one per (n, s), shared by the searches and the detector
+_slot_sums = lru_cache(maxsize=16)(_SlotSums)
 
 
 def has_product_one_subsequence(S):
@@ -188,45 +229,44 @@ def has_product_one_subsequence(S):
     layers[t][j] is the slot-sum state of the t-element sub-multisets of the
     first j elements; the first t whose full layer holds 0 in kind 0 or in
     kind 2 at balance 0 is minimal.  Walking back through the prefix layers
-    recovers the picks and their slots, which _slot_append's ordering rule
-    turns into a multiplication order.
+    recovers the picks and their slots, which _SlotSums's ordering rule turns
+    into a multiplication order.
     """
     n, s = S.spec.n, S.spec.s
+    slots = _slot_sums(n, s)
     elems = S.elements
     m = len(elems)
-    layers = [[_EMPTY_SLOTS] * (m + 1)]
+    layers = [[slots.empty] * (m + 1)]
     for t in range(1, m + 1):
         prev = layers[-1]
-        row = [{}]
+        row = [0]
         for j, g in enumerate(elems):
-            row.append(_slot_append(row[j], prev[j], g.eps, g.a, n, s))
+            row.append(slots.append(row[j], prev[j], g.eps, g.a))
         layers.append(row)
-        key = next((k for k in ((0, 0), (2, 0)) if row[m].get(k, 0) & 1), None)
-        if key is not None:
+        if row[m] & (1 | 1 << 2 * n):
             break
     else:
         return None
 
     # picks: (1-based position, eps, whether its slot is weighted s)
     picks = []
+    kind, bal = (0, 0) if row[m] & 1 else (2, 0)
     value = 0
     j = m
     while t:
         j -= 1
-        if (layers[t][j].get(key, 0) >> value) & 1:
+        if slots.has(layers[t][j], kind, bal, value):
             continue
         g = elems[j]
-        kind, bal = key
         if g.eps == 0:
             # in kind 0 the weight-1 option always holds, so it comes first
-            options = [(key, g.a, False), (key, g.a * s, True)]
+            options = [(kind, bal, g.a, False), (kind, bal, g.a * s, True)]
         else:
-            # kind 1 lives at balance 0 only; (1, bal -+ 1) is empty elsewhere
-            options = [((k, bal - 1), g.a, False) for k in (1, 2)]
-            options += [((k, bal + 1), g.a * s, True) for k in (1, 2)]
+            options = [(k, bal - 1, g.a, False) for k in (1, 2)]
+            options += [(k, bal + 1, g.a * s, True) for k in (1, 2)]
         prev = layers[t - 1][j]
-        for key, shift, heavy in options:
-            if (prev.get(key, 0) >> ((value - shift) % n)) & 1:
+        for kind, bal, shift, heavy in options:
+            if slots.has(prev, kind, bal, value - shift):
                 break
         else:
             raise RuntimeError("slot-sum walk lost the trail")
@@ -243,80 +283,51 @@ def has_product_one_subsequence(S):
     return OrderedCertificate(positions=tuple(sorted(order)), order=tuple(order))
 
 
-def _branch_explore(args):
-    """Enumerate free multisets whose smallest candidate is the given root.
+def _candidates(n):
+    """Every element but 1: y^a at index a - 1, x y^b at index n - 1 + b."""
+    return [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
 
-    The node state is the _slot_append state of the sequence so far.  A
-    plain candidate y^v is blocked when -v lies in kind 0 or in kind 2 at
-    balance 0 (an even, nonzero number of reflections); a reflection x y^v is
-    blocked when its inverse's exponent -v*s lies in kind 2 at balance +1.
-    Returns (deepest depth, hits at target length, nodes, completed).
+
+def _slot_space(n, s):
+    """The product-one-free search space for davenport._run_branch, over
+    _SlotSums states without the empty sum.
+
+    fold first probes for the candidate's inverse: a plain y^v is blocked
+    when -v lies in kind 0 or in kind 2 at balance 0 (an even, nonzero number
+    of reflections), a reflection x y^v when -v*s lies in kind 2 at balance +1.
+
+    Capacity: a plain append adds v to kind 0, new since kind 0 would
+    otherwise be closed under adding v and so hold 0; a reflection append
+    fills kind 2 one balance above the highest in use.  A product-one-free
+    sequence has at most 2n - 1 elements, so its balances fit in 4n + 1 lanes
+    and n * (4n + 1) bounds the popcount that appends can reach.
     """
-    n, s, root, target, max_nodes, deadline = args
-    cands = [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
-    root_idx = cands.index(root)
-    nodes = 0
-    deepest = 0
-    found = []
-    seq = [root]
+    slots = _slot_sums(n, s)
+    append, empty = slots.append, slots.empty
+    forms = [(1 << (4 * n + (-v * s) % n) if eps else 1 << (n - v) | 1 << (3 * n - v),
+              eps, v) for eps, v in _candidates(n)]
 
-    def rec(last, depth, state):
-        nonlocal nodes, deepest
-        nodes += 1
-        if nodes > max_nodes:
-            raise _Abort
-        if nodes % CLOCK_EVERY == 1 and time.monotonic() > deadline:
-            raise _Abort
-        if depth > deepest:
-            deepest = depth
-        if target is not None and depth == target:
-            found.append(tuple(seq))
-            return
-        blocked_plain = state[0, 0] | state.get((2, 0), 0)
-        blocked_refl = state.get((2, 1), 0)
-        for i in range(last, len(cands)):
-            eps, v = cands[i]
-            if eps == 0:
-                if (blocked_plain >> (n - v)) & 1:
-                    continue
-            elif (blocked_refl >> ((n - v * s) % n)) & 1:
-                continue
-            seq.append(cands[i])
-            rec(i, depth + 1, _slot_append(state, state, eps, v, n, s))
-            seq.pop()
+    def fold(state, form):
+        probe, eps, v = form
+        return 1 if state & probe else append(state, state | empty, eps, v)
 
-    try:
-        rec(root_idx, 1, _slot_append(_EMPTY_SLOTS, _EMPTY_SLOTS, *root, n, s))
-        return deepest, found, nodes, True
-    except _Abort:
-        return deepest, found, nodes, False
+    return fold, forms, n * (4 * n + 1)
 
 
-# First elements are normalized to their minimal image under the exponent
-# scalings y -> y^u (u a unit), which fix x; results are closed back under
-# the same maps afterwards.
 _REDUCTION_NOTE = (
     "first element minimized over the automorphisms (eps, a) -> (eps, u*a), "
     "u a unit; findings closed under the same maps"
 )
 
 
-def _roots(n):
+def _search(spec, budget, length=None):
+    """davenport._run_roots from y^d, x and x y^d, d | n, d < n (the first
+    elements up to y -> y^u), listing the chains of `length` when it is set."""
+    n = spec.n
     divs = [d for d in divisors(n) if d < n]
-    return [(0, d) for d in divs] + [(1, 0)] + [(1, d) for d in divs]
-
-
-def _explore(spec, target, budget):
-    args = [
-        (spec.n, spec.s, root, target, budget.max_nodes)
-        for root in _roots(spec.n)
-    ]
-    results = _run_roots(_branch_explore, args, budget)
-    found = [hit for r in results for hit in r[1]]
-    max_depth = max(r[0] for r in results)
-    nodes = sum(r[2] for r in results)
-    exhaustive = all(r[3] for r in results)
-    return found, max_depth, nodes, exhaustive
+    roots = [d - 1 for d in divs] + [n - 1] + [n - 1 + d for d in divs]
+    return _run_roots(_slot_space, (n, spec.s), roots,
+                      budget or SearchBudget(), length is not None, length)
 
 
 @dataclass(frozen=True)
@@ -332,22 +343,17 @@ class ClassificationReport:
 
 def classify_extremal(spec, length, budget=None):
     """All product-one-free sequences of the given length, split into the
-    unit-power-plus-reflection family and everything else."""
+    unit-power-plus-reflection family and everything else.  A truncated
+    search raises BudgetExceededError with the ones found before the cut."""
     if not isinstance(length, int) or isinstance(length, bool):
         raise ValueError(f"need an integer length, got {length!r}")
     if not 1 <= length <= 2 * spec.n - 1:
-        raise ValueError(
-            f"length must lie in [1, {2 * spec.n - 1}], got {length}"
-        )
-    budget = budget or SearchBudget()
-    found, _, nodes, exhaustive = _explore(spec, length, budget)
-    closed = set()
+        raise ValueError(f"length must lie in [1, {2 * spec.n - 1}], got {length}")
+    _, chains, nodes, exhaustive = _search(spec, budget, length)
+    cands = _candidates(spec.n)
     us = units(spec.n)
-    for multiset in found:
-        for u in us:
-            closed.add(
-                tuple(sorted((eps, (u * a) % spec.n) for eps, a in multiset))
-            )
+    closed = {tuple(sorted((cands[i][0], u * cands[i][1] % spec.n) for i in chain))
+              for chain in chains for u in us}
     claimed, other = [], []
     for elems in sorted(closed):
         seq = GSequence(spec, elems)
@@ -356,13 +362,8 @@ def classify_extremal(spec, length, budget=None):
         else:
             other.append(seq)
     report = ClassificationReport(
-        spec=spec,
-        length=length,
-        claimed=tuple(claimed),
-        other=tuple(other),
-        exhaustive=exhaustive,
-        reduction=_REDUCTION_NOTE,
-        nodes=nodes,
+        spec=spec, length=length, claimed=tuple(claimed), other=tuple(other),
+        exhaustive=exhaustive, reduction=_REDUCTION_NOTE, nodes=nodes,
     )
     if not exhaustive:
         raise BudgetExceededError(
@@ -373,8 +374,7 @@ def classify_extremal(spec, length, budget=None):
 
 def small_davenport(spec, budget=None):
     """Length of the longest product-one-free sequence over the whole group."""
-    budget = budget or SearchBudget()
-    _, max_depth, nodes, exhaustive = _explore(spec, None, budget)
+    max_depth, _, _, exhaustive = _search(spec, budget)
     if not exhaustive:
         raise BudgetExceededError(
             f"search truncated; the length is at least {max_depth}",

@@ -22,7 +22,6 @@ from davlab.metacyclic import (
     inverse,
     is_claimed_extremal_form,
     mul,
-    pairing_identity_check,
     small_davenport,
 )
 from davlab.davenport import SearchBudget
@@ -92,13 +91,6 @@ def test_mul_relations():
             acc = mul(acc, y, spec)
         assert acc == IDENTITY
         assert mul(y, x, spec) == mul(x, MetaElem(0, spec.s), spec)
-
-
-def test_pairing_identity():
-    for spec in some_specs(20):
-        for alpha in range(spec.n):
-            for beta in range(spec.n):
-                assert pairing_identity_check(alpha, beta, spec)
 
 
 def test_crt_image_respects_multiplication():
@@ -178,6 +170,18 @@ def test_product_one_matches_ordered_bruteforce():
         assert (cert is not None) == product_one_oracle(S)
         if cert is not None:
             assert cert.holds_for(S)
+    # large groups, whose lane masks are built only for the rotation amounts
+    # in use; exponents from a few cosets make product-one likely
+    for s in (1, 2099):
+        spec = GroupSpec(2100, s)
+        for _ in range(40):
+            S = GSequence(spec, [
+                MetaElem(rng.randint(0, 1), rng.choice((0, 1, 700, 1050, 1400, 2099)))
+                for _ in range(rng.randint(1, 6))
+            ])
+            cert = has_product_one_subsequence(S)
+            assert (cert is not None) == product_one_oracle(S)
+            assert cert is None or cert.holds_for(S)
 
 
 def test_product_one_matches_oracle_on_every_small_multiset():
@@ -300,16 +304,21 @@ def test_dihedral_classification_small():
 
 
 def test_classification_is_exhaustive_against_oracle():
-    # every free multiset of the target length must be reported
-    for n in (3, 4):
-        spec = GroupSpec.dihedral(n)
-        rep = classify_extremal(spec, n)
-        reported = {S.elements for S in rep.claimed} | {
-            S.elements for S in rep.other
-        }
-        for tup in combinations_with_replacement(spec.all_elements(), n):
-            hits = product_one_oracle(GSequence(spec, tup))
-            assert (tuple(sorted(tup)) in reported) == (not hits)
+    # every free multiset of every length up to one past the maximum must be
+    # reported: lengths below the branch maximum, at it, and above it
+    cases = 0
+    for n, s in ((3, 2), (4, 3), (4, 1), (5, 4)):
+        spec = GroupSpec(n, s)
+        for length in range(1, n + 2):
+            rep = classify_extremal(spec, length)
+            reported = {S.elements for S in rep.claimed} | {
+                S.elements for S in rep.other
+            }
+            for tup in combinations_with_replacement(spec.all_elements(), length):
+                hits = product_one_oracle(GSequence(spec, tup))
+                assert (tuple(sorted(tup)) in reported) == (not hits)
+                cases += 1
+    assert cases == 10788
 
 
 def test_semidirect_classification():
@@ -346,11 +355,36 @@ def test_classification_budget_exhaustion():
     assert not partial.exhaustive
 
 
+def test_short_classification_stops_at_its_length():
+    # a length below the maximum costs about one node per listed chain, not
+    # a search for the branch maximum.  In the dihedral group of order 60,
+    # 1770 two-element multisets avoid the identity; 14 pair a rotation with
+    # its inverse and 31 repeat an involution.
+    rep = classify_extremal(GroupSpec(30, 29), 2, SearchBudget(max_nodes=100))
+    assert rep.exhaustive
+    assert rep.claimed == () and len(rep.other) == 1770 - 14 - 31
+
+
+def test_truncated_classification_keeps_what_it_found():
+    spec = GroupSpec(12, 5)
+    full = {S.elements for S in classify_extremal(spec, 6).other}
+    with pytest.raises(BudgetExceededError) as err:
+        classify_extremal(spec, 6, SearchBudget(max_nodes=500))
+    found = {S.elements for S in err.value.partial.other}
+    assert found and found < full
+
+
 def test_small_davenport_values():
     assert small_davenport(GroupSpec.dihedral(3)) == 3
     assert small_davenport(GroupSpec.dihedral(4)) == 4
     assert small_davenport(GroupSpec(12, 5)) == 12
     assert small_davenport(GroupSpec(12, 7)) == 12
+
+
+def test_small_davenport_direct_product():
+    # s = 1 gives C_n x C_2: cyclic of order 2n for odd n, else D(C_n x C_2)
+    for n in range(3, 10):
+        assert small_davenport(GroupSpec(n, 1)) == (2 * n - 1 if n % 2 else n)
 
 
 def test_small_davenport_budget_exhaustion():
