@@ -9,8 +9,11 @@ some multiple of an image would chain down to zero), which caps the depth at
 lowest admissible class) are memoized exactly.
 
 _run_branch is the one branch engine: it is handed a search space (a fold
-over int states, the candidate forms and a capacity base).  The zero-sum
-fold here (_zero_sum_space) and metacyclic's slot-sum fold are its instances.
+over int states, the candidate forms and a capacity base).  Each form is a
+pair (probe, arg): probe is the set of state bits that forbid the append,
+tested with one AND before fold(state, arg) builds the next state.  Here
+(_zero_sum_space) the probe holds the negated weighted images of a class;
+metacyclic's slot-sum space is the other instance.
 
 For uniform moduli, scaling by a unit of Z_n permutes the classes and the
 zero-sum-free multisets, and classes are ordered by their smallest member, so
@@ -84,27 +87,33 @@ class ExactResult:
 
 
 def _usable_elements(grid, entries):
-    """(element, image codes, shift forms) of every element whose weighted
-    images are all nonzero, in code order.  An element with a zero image can
-    never sit in a zero-sum-free sequence."""
+    """(element, probe, shift forms) of every element whose weighted images
+    are all nonzero, in code order.  An element with a zero image can never
+    sit in a zero-sum-free sequence.
+
+    The probe is the bitset of the negated images: appending the element to
+    a sequence with reachable sums R makes a zero sum exactly when R & probe,
+    because every image is nonzero.  Negation is a bijection, so equal probes
+    mean equal image sets."""
     for code in range(1, grid.size):
         x = code if grid.rank == 1 else grid.decode(code)
         codes, shifts = _element_images(grid, x, entries)
         if codes[0]:
-            yield x, codes, shifts
+            negs = (grid.encode([-v for v in grid.decode(c)]) for c in codes)
+            yield x, sum(1 << c for c in negs), shifts
 
 
 def _prepare_candidates(moduli, entries):
     """Group usable elements into classes with equal weighted-image sets:
-    a list of (shift forms, members).
+    a list of ((probe, shift forms), members).
 
     The scan runs in code order, so classes come ordered by their smallest
     member code, which fixes the enumeration order everywhere.
     """
-    by_sig = {}
-    for x, codes, shifts in _usable_elements(_grid(moduli), entries):
-        by_sig.setdefault(codes, (shifts, []))[1].append(x)
-    return [(shifts, tuple(members)) for shifts, members in by_sig.values()]
+    by_probe = {}
+    for x, probe, shifts in _usable_elements(_grid(moduli), entries):
+        by_probe.setdefault(probe, ((probe, shifts), []))[1].append(x)
+    return [(form, tuple(members)) for form, members in by_probe.values()]
 
 
 def _unit_action(moduli, cands):
@@ -155,20 +164,23 @@ def _run_roots(space, space_args, roots, budget, collect, length=None):
     return best, chains, sum(r[2] for r in results), all(r[3] for r in results)
 
 
-def _zero_sum_space(moduli, shifts):
-    """Reachable-sum bitsets: a zero sum blocks, |G| - 1 nonzero sums cap."""
+def _zero_sum_space(moduli, forms):
+    """Reachable-sum bitsets: a zero sum blocks, |G| - 1 nonzero sums cap.
+    forms are the classes' (probe, shift forms) pairs."""
     grid = _grid(moduli)
-    return grid.fold, shifts, grid.size - 1
+    return grid.fold, forms, grid.size - 1
 
 
 def _run_branch(args):
     """Exhaust one root candidate: (best length, chains, nodes, completed).
 
     space(*space_args) gives (fold, forms, cap_base).  A state is an int,
-    0 for the empty sequence; fold(state, forms[i]) appends candidate i and
-    sets bit 0 when that is not allowed.  cap_base minus a state's popcount
-    must bound how many appends can still follow.  Chains are nondecreasing
-    candidate indices from root.
+    0 for the empty sequence, and forms[i] is candidate i's pair (probe,
+    arg): probe is the set of state bits that forbid appending it, and
+    fold(state, arg) is the state after the append, called only when state &
+    probe is 0, so a blocked candidate costs one AND.  cap_base minus a
+    state's popcount must bound how many appends can still follow.  Chains
+    are nondecreasing candidate indices from root.
 
     Phase one memoizes the longest extension of every (state, lowest
     candidate) pair, one table per candidate keyed by the state; with a
@@ -179,7 +191,9 @@ def _run_branch(args):
     each other walk step re-enters a counted state on the way to a chain.
     On abort the deepest chain seen is a certified lower bound, returned
     with the chains walked so far: all those found, as phase one stops at
-    its first chain of a set length.
+    its first chain of a set length.  Both phases recurse once per append,
+    so the interpreter's recursion limit also cuts a search: it ends the
+    root as a truncation, like the node and clock budgets.
     """
     space, space_args, root, max_nodes, collect, length, deadline = args
     fold, forms, cap_base = space(*space_args)
@@ -211,9 +225,10 @@ def _run_branch(args):
         tick(depth)
         best = 0
         for i in range(last, n_forms):
-            Rp = fold(R, forms[i])
-            if Rp & 1:
+            probe, arg = forms[i]
+            if R & probe:
                 continue
+            Rp = fold(R, arg)
             if 1 + (cap_base - Rp.bit_count()) <= best:
                 continue
             sub = 1 + max_ext(Rp, i, depth + 1)
@@ -231,9 +246,10 @@ def _run_branch(args):
             chains.append(tuple(prefix))
             return
         for i in range(last, n_forms):
-            Rp = fold(R, forms[i])
-            if Rp & 1:
+            probe, arg = forms[i]
+            if R & probe:
                 continue
+            Rp = fold(R, arg)
             if 1 + (cap_base - Rp.bit_count()) < remaining:
                 continue
             if 1 + max_ext(Rp, i, len(prefix) + 1) >= remaining:
@@ -242,14 +258,14 @@ def _run_branch(args):
                 prefix.pop()
 
     try:
-        R0 = fold(0, forms[root])
+        R0 = fold(0, forms[root][1])
         best = 1 + max_ext(R0, root, 1)
         deepest = max(deepest, best)
         target = best if length is None else length
         if collect and target <= best:
             walk(R0, root, target - 1, [root])
         return best, tuple(chains), nodes, True
-    except _Abort:
+    except (_Abort, RecursionError):
         return deepest, tuple(chains), nodes, False
     finally:
         # max_ext and walk refer to themselves, so the memo they close over
@@ -278,12 +294,12 @@ def _search(moduli, entries, budget, collect):
         witnesses = (ZSequence(moduli, ()),) if collect else None
         return 0, witnesses, 0, True
     us, act = _unit_action(moduli, cands)
-    shifts = tuple(c[0] for c in cands)
+    forms = tuple(c[0] for c in cands)
     # only classes minimal in their unit orbit seed the search; the witness
     # closure restores the rest
     roots = [i for i in range(len(cands)) if all(act(u, i) >= i for u in us)]
     max_len, cores, nodes, exhaustive = _run_roots(
-        _zero_sum_space, (moduli, shifts), roots, budget, collect)
+        _zero_sum_space, (moduli, forms), roots, budget, collect)
     witnesses = None
     if collect and exhaustive:
         witnesses = _expand_witnesses(moduli, cands, cores, us, act)
@@ -360,7 +376,7 @@ def zero_sum_free_sequences(n, weights, length):
     if length == 0:
         yield ZSequence(moduli, ())
         return
-    elems = sorted((x, sh) for x, _, sh in _usable_elements(grid, entries))
+    elems = sorted(_usable_elements(grid, entries))
     size = grid.size
     seq = []
 
@@ -369,10 +385,10 @@ def zero_sum_free_sequences(n, weights, length):
             yield ZSequence(moduli, tuple(seq))
             return
         for idx in range(start, len(elems)):
-            x, shifts = elems[idx]
-            Rp = grid.fold(R, shifts)
-            if Rp & 1:
+            x, probe, shifts = elems[idx]
+            if R & probe:
                 continue
+            Rp = grid.fold(R, shifts)
             if 1 + (size - 1 - Rp.bit_count()) < length - depth:
                 continue
             seq.append(x)

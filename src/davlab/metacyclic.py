@@ -292,9 +292,10 @@ def _slot_space(n, s):
     """The product-one-free search space for davenport._run_branch, over
     _SlotSums states without the empty sum.
 
-    fold first probes for the candidate's inverse: a plain y^v is blocked
-    when -v lies in kind 0 or in kind 2 at balance 0 (an even, nonzero number
-    of reflections), a reflection x y^v when -v*s lies in kind 2 at balance +1.
+    A form is (probe, (eps, v)), and the probe holds the candidate's inverse:
+    a plain y^v is blocked when -v lies in kind 0 or in kind 2 at balance 0
+    (an even, nonzero number of reflections), a reflection x y^v when -v*s
+    lies in kind 2 at balance +1.
 
     Capacity: a plain append adds v to kind 0, new since kind 0 would
     otherwise be closed under adding v and so hold 0; a reflection append
@@ -305,11 +306,11 @@ def _slot_space(n, s):
     slots = _slot_sums(n, s)
     append, empty = slots.append, slots.empty
     forms = [(1 << (4 * n + (-v * s) % n) if eps else 1 << (n - v) | 1 << (3 * n - v),
-              eps, v) for eps, v in _candidates(n)]
+              (eps, v)) for eps, v in _candidates(n)]
 
-    def fold(state, form):
-        probe, eps, v = form
-        return 1 if state & probe else append(state, state | empty, eps, v)
+    def fold(state, arg):
+        eps, v = arg
+        return append(state, state | empty, eps, v)
 
     return fold, forms, n * (4 * n + 1)
 

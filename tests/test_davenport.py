@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import time
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -8,6 +10,7 @@ import pytest
 from davlab.bounds import floor_log2
 from davlab.davenport import (
     SearchBudget,
+    _prepare_candidates,
     enumerate_extremal,
     exact_davenport,
     exact_davenport_k,
@@ -20,7 +23,14 @@ from davlab.errors import (
     TooLargeError,
 )
 from davlab.modring import WeightSet, quadratic_residue_weights, units
-from davlab.zsfree import ZSequence, brute_force_oracle, has_weighted_zero_sum
+from davlab.zsfree import (
+    ZSequence,
+    _as_moduli,
+    _weight_entries,
+    brute_force_oracle,
+    has_weighted_zero_sum,
+    reachable_sums,
+)
 from _oracles import max_zsf_length_bruteforce
 
 
@@ -168,6 +178,61 @@ def test_budget_exhaustion_returns_partial():
     assert not partial.exhaustive
     assert 1 <= partial.constant <= full.constant
     assert partial.constant == partial.max_zsf_length + 1
+
+
+def test_deep_chain_ends_as_truncation():
+    # both search phases recurse once per append; a chain deeper than the
+    # recursion limit ends the search as a truncation, and the deepest chain
+    # folded so far is zero-sum free, so it is a certified lower bound
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            exact_davenport(400, {1}, SearchBudget(max_nodes=2000),
+                            collect_witnesses=False)
+    finally:
+        sys.setrecursionlimit(old)
+    partial = err.value.partial
+    assert not partial.exhaustive
+    assert 100 < partial.constant <= 400
+
+
+@pytest.mark.parametrize(
+    "moduli, A",
+    [
+        (12, {1, 5}),
+        (15, {1, 14}),
+        (13, set(quadratic_residue_weights(13).weights)),
+        ((3, 3), {1}),
+        ((2, 4), {1, 3}),
+    ],
+    ids=["12-1-5", "15-pm1", "13-qr", "3x3", "2x4"],
+)
+def test_probe_matches_oracle_on_random_chains(moduli, A):
+    # a class's probe must block exactly the members whose append makes a
+    # weighted zero sum, in every state a zero-sum-free chain reaches
+    moduli = _as_moduli(moduli)
+    cands = _prepare_candidates(moduli, _weight_entries(A, moduli))
+    rng = random.Random(repr((moduli, sorted(A))))
+    checked = 0
+    for _ in range(40):
+        chain = []
+        while True:
+            state = reachable_sums(ZSequence(moduli, chain), A).bits
+            free = []
+            for (probe, _), members in cands:
+                for x in members:
+                    grown = ZSequence(moduli, chain + [x])
+                    hit = brute_force_oracle(grown, A)
+                    assert hit == has_weighted_zero_sum(grown, A)
+                    assert bool(state & probe) == hit
+                    checked += 1
+                    if not hit:
+                        free.append(x)
+            if not free:
+                break
+            chain.append(rng.choice(free))
+    assert checked > 100
 
 
 def test_determinism_across_parallel_width():

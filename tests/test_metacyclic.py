@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import time
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -14,6 +16,7 @@ from davlab.metacyclic import (
     GSequence,
     MetaElem,
     OrderedCertificate,
+    _slot_space,
     claimed_extremal_sequence,
     classify_extremal,
     format_element,
@@ -385,6 +388,45 @@ def test_small_davenport_direct_product():
     # s = 1 gives C_n x C_2: cyclic of order 2n for odd n, else D(C_n x C_2)
     for n in range(3, 10):
         assert small_davenport(GroupSpec(n, 1)) == (2 * n - 1 if n % 2 else n)
+
+
+def test_small_davenport_deep_chain_ends_as_truncation():
+    # a chain deeper than the recursion limit ends the search as a
+    # truncation; the dihedral group of order 802 has small Davenport 401
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            small_davenport(GroupSpec.dihedral(401), SearchBudget(max_nodes=2000))
+    finally:
+        sys.setrecursionlimit(old)
+    assert 100 < err.value.partial <= 401
+
+
+@pytest.mark.parametrize("n, s", [(12, 5), (8, 3), (7, 6)])
+def test_slot_probe_matches_oracle_on_random_chains(n, s):
+    # a candidate's probe must block exactly the appends that make a
+    # product-one subsequence, in every state a product-one-free chain reaches
+    spec = GroupSpec(n, s)
+    fold, forms, _ = _slot_space(n, s)
+    rng = random.Random(n * 1000 + s)
+    checked = 0
+    for _ in range(40):
+        chain, state = [], 0
+        while True:
+            free = []
+            for probe, arg in forms:
+                hit = has_product_one_subsequence(GSequence(spec, chain + [arg]))
+                assert bool(state & probe) == (hit is not None)
+                checked += 1
+                if hit is None:
+                    free.append(arg)
+            if not free:
+                break
+            arg = rng.choice(free)
+            chain.append(arg)
+            state = fold(state, arg)
+    assert checked > 100
 
 
 def test_small_davenport_budget_exhaustion():
