@@ -16,7 +16,7 @@ import tempfile
 
 import click
 
-from .bounds import lower_bound, upper_bound
+from .bounds import table_row
 from .davenport import SearchBudget, exact_davenport, verify_sandwich
 from .errors import (
     BoundViolationError,
@@ -220,13 +220,12 @@ def table_cmd(n_max, with_exact, threads, max_nodes, budget_seconds, fmt, output
     for n in range(2, n_max + 1):
         for s in involutions(n):
             try:
-                split = crt_split(n, s)
+                bracket = table_row(n, s)
             except NoValidSplitError:
                 continue
             row = {
-                "n": n, "s": s, "n1": split.n1, "n2": split.n2,
-                "lower": lower_bound(split), "exact": None,
-                "upper": upper_bound(split),
+                "n": n, "s": s, "n1": bracket.n1, "n2": bracket.n2,
+                "lower": bracket.lower, "exact": None, "upper": bracket.upper,
             }
             if with_exact:
                 try:

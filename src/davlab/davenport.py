@@ -15,13 +15,12 @@ tested with one AND before fold(state, arg) builds the next state.  Here
 (_zero_sum_space) the probe holds the negated weighted images of a class;
 metacyclic's slot-sum space is the other instance.
 
-For uniform moduli, scaling by a unit of Z_n permutes the classes and the
-zero-sum-free multisets, and classes are ordered by their smallest member, so
-only classes that no unit maps to a lower index seed the search.  The same
-class-level action closes the extremal class multisets found from those roots
-before they are expanded into elements.  The root test stops at the first unit
-that lowers a class: most classes fail within a few units, while a full table
-over units and classes would cost more than the search at large n.
+Both searches run one unit orbit at a time: _unit_action lifts an element
+scaling (_unit_scaling here, (eps, a) -> (eps, u*a) in metacyclic) to the
+candidates, and _run_roots seeds only the candidates that no unit maps to a
+lower index, then closes what the roots find under the same action.  For
+uniform moduli unit scaling permutes the classes (ordered by their smallest
+member) and so the zero-sum-free multisets.
 
 Node budgets are enforced per root branch with a fresh memo each, so
 node-limited truncation yields identical results at any parallel width.  The
@@ -36,9 +35,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iter_product
 from math import prod
 
-from .bounds import lower_bound, upper_bound
+from .bounds import table_row
 from .errors import BoundViolationError, BudgetExceededError, TooLargeError
-from .modring import WeightSet, crt_split, units
+from .modring import WeightSet, units
 from .zsfree import ZSequence, _as_moduli, _element_images, _grid, _weight_entries
 
 # Bitset width cap; beyond this the search would not finish anyway.
@@ -116,37 +115,49 @@ def _prepare_candidates(moduli, entries):
     return [(form, tuple(members)) for form, members in by_probe.values()]
 
 
-def _unit_action(moduli, cands):
-    """The units of Z_n acting on candidate classes: (units, act), where
-    act(u, i) is the index of the class holding u times class i's members.
-
-    For uniform moduli scaling by a unit is an automorphism that maps
-    weighted-image sets to weighted-image sets, so it permutes the classes;
-    for other moduli only ((1,), identity) applies.  act is lazy because the
-    root test all(act(u, i) >= i for u in units) must stop at the first unit
-    that lowers a class: a table over all units and classes costs more than
-    the search it seeds at large n.
-    """
+def _unit_scaling(moduli):
+    """Scaling by a unit u of Z_n on group elements: u*x mod n on Z_n, each
+    coordinate on a product of copies of Z_n.  None for mixed moduli, where
+    no unit scaling is defined."""
     if len(set(moduli)) != 1:
-        return (1,), lambda u, i: i
+        return None
     n = moduli[0]
-    class_of = {x: i for i, (_, members) in enumerate(cands) for x in members}
-    reps = [members[0] for _, members in cands]
     if len(moduli) == 1:
-        def act(u, i):
-            return class_of[(u * reps[i]) % n]
-    else:
-        def act(u, i):
-            return class_of[tuple((u * c) % n for c in reps[i])]
+        return lambda u, x: u * x % n
+    return lambda u, x: tuple(u * c % n for c in x)
+
+
+def _unit_action(n, members, scale):
+    """The units of Z_n acting on candidates: (units, act), act(u, i) the
+    index of the candidate holding scale(u, x) for the members x of i.
+
+    scale(u, .) must permute the candidates; None gives ((1,), identity).
+    act is lazy because the root test stops at the first unit that lowers a
+    candidate, mostly within a few units: a table over all units and
+    candidates costs more than the search it seeds at large n.
+    """
+    if scale is None:
+        return (1,), lambda u, i: i
+    index_of = {x: i for i, xs in enumerate(members) for x in xs}
+    reps = [xs[0] for xs in members]
+
+    def act(u, i):
+        return index_of[scale(u, reps[i])]
+
     return units(n), act
 
 
-def _run_roots(space, space_args, roots, budget, collect, length=None):
-    """_run_branch on every root, in order, serially or on a process pool:
+def _run_roots(space, space_args, action, count, budget, collect, length=None):
+    """_run_branch from every root, in order, serially or on a process pool:
     (longest length, chains, nodes, exhaustive).  With length None only the
-    roots reaching the longest length give chains.  Every root and forked
-    worker reads one deadline off the system-wide monotonic clock.
+    roots reaching the longest length give chains.  The roots are the count
+    candidates that no element of the action (group, act) maps lower; each
+    orbit holds a chain starting at one, so the chains are returned closed
+    under the action, and sorted.  Every root and forked worker reads one
+    deadline off the system-wide monotonic clock.
     """
+    group, act = action
+    roots = [i for i in range(count) if all(act(u, i) >= i for u in group)]
     deadline = time.monotonic() + budget.max_seconds
     jobs = [
         (space, space_args, root, budget.max_nodes, collect, length, deadline)
@@ -159,9 +170,9 @@ def _run_roots(space, space_args, roots, budget, collect, length=None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_branch, jobs))
     best = max(r[0] for r in results)
-    chains = [c for r in results if length is not None or r[0] == best
-              for c in r[1]]
-    return best, chains, sum(r[2] for r in results), all(r[3] for r in results)
+    closed = {tuple(sorted(act(u, i) for i in chain)) for r in results
+              if length is not None or r[0] == best for chain in r[1] for u in group}
+    return best, sorted(closed), sum(r[2] for r in results), all(r[3] for r in results)
 
 
 def _zero_sum_space(moduli, forms):
@@ -273,14 +284,12 @@ def _run_branch(args):
         memo.clear()
 
 
-def _expand_witnesses(moduli, cands, cores, us, act):
-    """Close class-level cores under units, then expand them into element
-    multisets.  Classes partition the elements, so distinct closed cores
-    expand to disjoint sets and need no dedup."""
-    closed = {tuple(sorted(act(u, i) for i in core)) for core in cores for u in us}
+def _expand_witnesses(moduli, members, cores):
+    """Expand class-level cores into element multisets.  Classes partition
+    the elements, so distinct cores expand to disjoint sets: no dedup."""
     out = []
-    for core in closed:
-        pools = [combinations_with_replacement(cands[i][1], mult)
+    for core in cores:
+        pools = [combinations_with_replacement(members[i], mult)
                  for i, mult in sorted(Counter(core).items())]
         for pick in iter_product(*pools):
             out.append(tuple(sorted(sum(pick, ()))))
@@ -293,16 +302,13 @@ def _search(moduli, entries, budget, collect):
     if not cands:
         witnesses = (ZSequence(moduli, ()),) if collect else None
         return 0, witnesses, 0, True
-    us, act = _unit_action(moduli, cands)
-    forms = tuple(c[0] for c in cands)
-    # only classes minimal in their unit orbit seed the search; the witness
-    # closure restores the rest
-    roots = [i for i in range(len(cands)) if all(act(u, i) >= i for u in us)]
+    forms, members = zip(*cands)
+    action = _unit_action(moduli[0], members, _unit_scaling(moduli))
     max_len, cores, nodes, exhaustive = _run_roots(
-        _zero_sum_space, (moduli, forms), roots, budget, collect)
+        _zero_sum_space, (moduli, forms), action, len(cands), budget, collect)
     witnesses = None
     if collect and exhaustive:
-        witnesses = _expand_witnesses(moduli, cands, cores, us, act)
+        witnesses = _expand_witnesses(moduli, members, cores)
     return max_len, witnesses, nodes, exhaustive
 
 
@@ -348,20 +354,13 @@ def exact_davenport_k(n, weights, k, budget=None, collect_witnesses=True):
 def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
     """All longest zero-sum-free sequences, optionally one per unit orbit."""
     res = exact_davenport(n, weights, budget, collect_witnesses=True)
-    witnesses = res.witnesses
     moduli = _as_moduli(n)
-    if not orbit_reduced or len(set(moduli)) != 1:
-        return witnesses
-    base = moduli[0]
-    flat = len(moduli) == 1
-
-    def scaled(elems, u):
-        return tuple(sorted(
-            (u * x) % base if flat else tuple((u * c) % base for c in x)
-            for x in elems
-        ))
-
-    reps = {min(scaled(w.elements, u) for u in units(base)) for w in witnesses}
+    scale = _unit_scaling(moduli)
+    if not orbit_reduced or scale is None:
+        return res.witnesses
+    us = units(moduli[0])
+    reps = {min(tuple(sorted(scale(u, x) for x in w.elements)) for u in us)
+            for w in res.witnesses}
     return tuple(ZSequence(moduli, e) for e in sorted(reps))
 
 
@@ -418,9 +417,8 @@ def verify_sandwich(n, s, budget=None):
     the certified lower estimate) escapes the bracket; re-raises budget
     exhaustion with the partial report attached.
     """
-    split = crt_split(n, s)
-    lo = lower_bound(split)
-    hi = upper_bound(split)
+    row = table_row(n, s)
+    lo, hi = row.lower, row.upper
     try:
         res = exact_davenport(
             n, WeightSet(n, (1, s)), budget, collect_witnesses=False
@@ -433,7 +431,7 @@ def verify_sandwich(n, s, budget=None):
                 f"{hi} for (n={n}, s={s})"
             ) from None
         report = SandwichReport(
-            n, s, split.n1, split.n2, lo, partial.constant, hi, False,
+            n, s, row.n1, row.n2, lo, partial.constant, hi, False,
             partial.nodes,
         )
         raise BudgetExceededError(str(e), partial=report) from None
@@ -443,5 +441,5 @@ def verify_sandwich(n, s, budget=None):
             f"for (n={n}, s={s})"
         )
     return SandwichReport(
-        n, s, split.n1, split.n2, lo, res.constant, hi, True, res.nodes
+        n, s, row.n1, row.n2, lo, res.constant, hi, True, res.nodes
     )

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .davenport import SearchBudget, _run_roots
+from .davenport import SearchBudget, _run_roots, _unit_action
 from .errors import BudgetExceededError, WrongLengthError
-from .modring import divisors, units
 
 @dataclass(frozen=True, order=True)
 class MetaElem:
@@ -43,6 +42,8 @@ class GroupSpec:
     def __init__(self, n, s):
         if not isinstance(n, int) or isinstance(n, bool) or n < 3:
             raise ValueError(f"need an integer n >= 3, got {n!r}")
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise ValueError(f"need an integer s, got {s!r}")
         s %= n
         if (s * s) % n != 1:
             raise ValueError(f"s={s} must square to 1 modulo {n}")
@@ -322,12 +323,14 @@ _REDUCTION_NOTE = (
 
 
 def _search(spec, budget, length=None):
-    """davenport._run_roots from y^d, x and x y^d, d | n, d < n (the first
-    elements up to y -> y^u), listing the chains of `length` when it is set."""
+    """davenport._run_roots over _candidates, one orbit of the automorphisms
+    (eps, a) -> (eps, u*a), u a unit, at a time: the roots are y^d, x and
+    x y^d for d | n, d < n, and the chains of `length`, listed when it is
+    set, come back closed under the same maps."""
     n = spec.n
-    divs = [d for d in divisors(n) if d < n]
-    roots = [d - 1 for d in divs] + [n - 1] + [n - 1 + d for d in divs]
-    return _run_roots(_slot_space, (n, spec.s), roots,
+    members = [(g,) for g in _candidates(n)]
+    action = _unit_action(n, members, lambda u, g: (g[0], u * g[1] % n))
+    return _run_roots(_slot_space, (n, spec.s), action, len(members),
                       budget or SearchBudget(), length is not None, length)
 
 
@@ -352,12 +355,9 @@ def classify_extremal(spec, length, budget=None):
         raise ValueError(f"length must lie in [1, {2 * spec.n - 1}], got {length}")
     _, chains, nodes, exhaustive = _search(spec, budget, length)
     cands = _candidates(spec.n)
-    us = units(spec.n)
-    closed = {tuple(sorted((cands[i][0], u * cands[i][1] % spec.n) for i in chain))
-              for chain in chains for u in us}
     claimed, other = [], []
-    for elems in sorted(closed):
-        seq = GSequence(spec, elems)
+    for chain in chains:
+        seq = GSequence(spec, [cands[i] for i in chain])
         if length == spec.n and is_claimed_extremal_form(seq):
             claimed.append(seq)
         else:

@@ -12,7 +12,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-import davlab.davenport
+import davlab.bounds
 from davlab.cli import ENV_BUDGET_SECONDS, cli
 
 
@@ -104,7 +104,7 @@ def test_table_exact_fills_column():
 
 
 def test_table_bound_violation_exits_4(monkeypatch):
-    monkeypatch.setattr(davlab.davenport, "upper_bound", lambda split: 3)
+    monkeypatch.setattr(davlab.bounds, "upper_bound", lambda split: 3)
     res = run(["table", "--n-max", "12", "--exact"])
     assert res.exit_code == 4
     assert "bound violation" in res.stderr

@@ -88,15 +88,24 @@ def test_extremal_lists():
 
 
 def test_extremal_orbit_reduction_covers_everything():
-    for n, A in ((8, {1, 7}), (12, {1, 5}), (9, {1})):
+    # units scale Z_n and, coordinatewise, the uniform products
+    cases = ((8, {1, 7}), (12, {1, 5}), (9, {1}),
+             ((3, 3), {1}), ((3, 3), {1, 2}), ((4, 4), {1, 3}))
+    for n, A in cases:
+        base = _as_moduli(n)[0]
+
+        def scaled(u, x):
+            if isinstance(x, tuple):
+                return tuple((u * c) % base for c in x)
+            return (u * x) % base
+
+        def orbit(elems):
+            return {tuple(sorted(scaled(u, x) for x in elems)) for u in units(base)}
+
         full = {w.elements for w in enumerate_extremal(n, A)}
-        reduced = enumerate_extremal(n, A, orbit_reduced=True)
-        closure = set()
-        for w in reduced:
-            assert w.elements in full
-            for u in units(n):
-                closure.add(tuple(sorted((u * x) % n for x in w.elements)))
-        assert closure == full
+        reduced = [w.elements for w in enumerate_extremal(n, A, orbit_reduced=True)]
+        assert reduced == sorted({min(orbit(e)) for e in full})
+        assert set().union(*map(orbit, reduced)) == full
 
 
 def test_matches_levelwise_bruteforce_on_random_weight_sets():
@@ -301,9 +310,9 @@ def test_sandwich_reports():
 
 
 def test_sandwich_flags_violations(monkeypatch):
-    import davlab.davenport as dav
+    import davlab.bounds
 
-    monkeypatch.setattr(dav, "upper_bound", lambda split: 3)
+    monkeypatch.setattr(davlab.bounds, "upper_bound", lambda split: 3)
     with pytest.raises(BoundViolationError):
         verify_sandwich(12, 7)
 

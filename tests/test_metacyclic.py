@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from davlab import davenport
 from davlab.davenport import exact_davenport
 from davlab.errors import BudgetExceededError, WrongLengthError
 from davlab.metacyclic import (
@@ -50,6 +51,8 @@ def test_group_spec_validation():
         GroupSpec(12, 3)
     with pytest.raises(ValueError):
         GroupSpec(2, 1)
+    with pytest.raises(ValueError):
+        GroupSpec(12, 5.0)
     assert spec.element(3, 14) == MetaElem(1, 2)
     assert len(spec.all_elements()) == 24
 
@@ -335,6 +338,27 @@ def test_semidirect_classification():
         longer = classify_extremal(spec, 13)
         assert longer.exhaustive
         assert longer.claimed == () and longer.other == ()
+
+
+def test_unit_action_roots_are_the_divisor_powers(monkeypatch):
+    # the roots that the unit action (eps, a) -> (eps, u*a) picks are y^d,
+    # x and x y^d for the proper divisors d of n; y^a is candidate a - 1
+    # and x y^b candidate n - 1 + b
+    roots = []
+
+    def record(args):
+        roots.append(args[2])
+        return 0, (), 0, True
+
+    monkeypatch.setattr(davenport, "_run_branch", record)
+    for n in range(3, 31):
+        divs = [d for d in range(1, n) if n % d == 0]
+        want = [d - 1 for d in divs] + [n - 1] + [n - 1 + d for d in divs]
+        for s in range(n):
+            if s * s % n == 1:
+                roots.clear()
+                small_davenport(GroupSpec(n, s))
+                assert roots == want, (n, s)
 
 
 def test_classification_report_fields():
