@@ -21,21 +21,15 @@ def floor_log2(x):
 
 def lower_bound(split):
     """Best known lower bound for the split's weighted constant."""
-    n1, n2 = split.n1, split.n2
-    lo = n2 + floor_log2(n1)
-    if n2 % 2 == 1 and n1 > n2:
-        lo = max(lo, 2 * n2)
+    lo = multidim_bounds(split, 1).lower
+    if split.n2 % 2 == 1 and split.n1 > split.n2:
+        lo = max(lo, 2 * split.n2)
     return lo
 
 
 def upper_bound(split):
     """Best known upper bound for the split's weighted constant."""
-    n1, n2 = split.n1, split.n2
-    blocks = floor_log2(n1) + 1
-    cap_a = n2 * blocks
-    half = n1 // 2
-    cap_b = 2 * n2 + half - 2 * (half // blocks)
-    return min(cap_a, cap_b)
+    return multidim_bounds(split, 1).upper
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ Folding one more element x ORs in a cyclic rotation of the current set (plus
 the empty sum) for every weighted image of x.  For rank one the rotation is a
 plain bit rotation; for products it rotates each coordinate through
 precomputed masks.
+
+Certificates come from the same fold: extract_certificate layers it by pick
+count, so a shortest zero sum is found and read back without recursion, at
+a cost that grows with the pick count times the length.
 """
 
 from dataclasses import dataclass
@@ -147,7 +151,6 @@ class ZSequence:
         elems.sort()
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_cache", {})
 
     @property
     def n(self):
@@ -246,20 +249,10 @@ def reachable_sums(S, weights):
     """Fold the reachable-sum bitset of S under the given weights."""
     grid = _grid(S.moduli)
     entries = _weight_entries(weights, S.moduli)
-    cached = S._cache.get(entries)
-    if cached is not None:
-        return cached
     bits = 0
-    size = grid.size
     for x in S.elements:
-        if grid.rank == 1:
-            shifts = [(a * x) % size for a in entries]
-        else:
-            shifts = _element_images(grid, x, entries)[1]
-        bits = grid.fold(bits, shifts)
-    out = ReachableSet(S.moduli, bits)
-    S._cache[entries] = out
-    return out
+        bits = grid.fold(bits, _element_images(grid, x, entries)[1])
+    return ReachableSet(S.moduli, bits)
 
 
 def has_weighted_zero_sum(S, weights):
@@ -380,114 +373,72 @@ def extract_certificate(S, weights):
 
     Among the certificates of minimal pick count the result has the
     lexicographically smallest index tuple, then the smallest weight tuple.
+
+    Everything runs on the reachable-sum fold.  rows[r][j] holds the negated
+    nonempty sums of at most r picks from positions >= j (counted from 0),
+    so the first r with 0 in rows[r][0] is the fewest pick count t.  Indices
+    are taken smallest first: with `left` picks still to take, position j is
+    taken when the fold of x_j onto the picks taken so far meets
+    rows[left - 1][j + 1] or 0.  Weights are then fixed smallest first, pick
+    by pick, against the fold of the negated images of the later picks.
+
+    Both tests ask about "at most" counts and subset sums, yet they answer
+    the exact question.  A hit that leaves out a pick taken so far or the
+    candidate, or that uses fewer later picks than are left, is a nonempty
+    zero sum of fewer than t picks, which the minimality of t rules out.  So
+    every hit extends the choices made so far to a zero sum of exactly t
+    picks, and the first index (weight) that hits is the smallest that any
+    shortest certificate continues with.
     """
     grid = _grid(S.moduli)
     entries = _weight_entries(weights, S.moduli)
-    m = len(S.elements)
-    if m == 0:
-        return None
-    size = grid.size
+    elems = S.elements
+    m = len(elems)
+    images = [_element_images(grid, x, entries)[1] for x in elems]
+    negated = [
+        _element_images(
+            grid, -x if grid.rank == 1 else tuple(-v for v in x), entries
+        )[1]
+        for x in elems
+    ]
 
-    # perms[t][v] encodes (value of v) - (value of t); doubles as negation
-    # through perms[t][0].
-    perms = {}
-
-    def perm_for(t):
-        hit = perms.get(t)
-        if hit is not None:
-            return hit
-        if grid.rank == 1:
-            p = [(v - t) % size for v in range(size)]
-        else:
-            tv = grid.decode(t)
-            p = [
-                grid.encode(
-                    tuple(
-                        (a - b) % mod
-                        for a, b, mod in zip(grid.decode(v), tv, grid.moduli)
-                    )
-                )
-                for v in range(size)
-            ]
-        perms[t] = p
-        return p
-
-    # picks[j]: (weight, image code) per distinct image of element j; when
-    # two weights share an image only the smaller can appear in a lex-min
-    # certificate, so the larger is dropped here.
-    picks = []
-    for x in S.elements:
-        by_code = {}
-        for a in sorted(entries):
-            if grid.rank == 1:
-                t = (a * x) % size
-            else:
-                t = grid.encode(
-                    tuple((ai * xi) % mod for ai, xi, mod in zip(a, x, grid.moduli))
-                )
-            if t not in by_code:
-                by_code[t] = a
-        picks.append(sorted((a, t) for t, a in by_code.items()))
-
-    # dist[j][v] = fewest picks from positions >= j summing to v.
-    infinite = m + 1
-    dist = [None] * (m + 1)
-    dist[m] = [infinite] * size
-    dist[m][0] = 0
-    for j in range(m - 1, -1, -1):
-        nxt = dist[j + 1]
-        row = nxt[:]
-        for _, t in picks[j]:
-            perm = perm_for(t)
-            for v in range(size):
-                c = nxt[perm[v]] + 1
-                if c < row[v]:
-                    row[v] = c
-        dist[j] = row
-
-    t_star = infinite
-    for j in range(m):
-        nxt = dist[j + 1]
-        for _, t in picks[j]:
-            c = 1 + nxt[perm_for(t)[0]]
-            if c < t_star:
-                t_star = c
-    if t_star > m:
-        return None
-
-    # A state (j, v) is only worth entering with exactly dist[j][v] picks
-    # left; any other budget either cannot finish or shortcuts t_star.
-    memo = {}
-
-    def best(j, v, r):
-        if r == 0:
-            return ((), ()) if v == 0 else None
-        if j == m or dist[j][v] != r:
+    rows = [[0] * (m + 1)]
+    while not rows[-1][0] & 1:
+        if len(rows) > m:
             return None
-        key = (j, v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        champion = None
-        for a, t in picks[j]:
-            sub = best(j + 1, perm_for(t)[v], r - 1)
-            if sub is None:
-                continue
-            cand = ((j + 1,) + sub[0], (a,) + sub[1])
-            if champion is None or cand < champion:
-                champion = cand
-        if champion is None:
-            champion = best(j + 1, v, r)
-        memo[key] = champion
-        return champion
+        prev = rows[-1]
+        row = [0] * (m + 1)
+        for j in range(m - 1, -1, -1):
+            row[j] = row[j + 1] | grid.fold(prev[j + 1], negated[j])
+        rows.append(row)
+    t = len(rows) - 1
 
-    for j in range(m):
-        cands = []
-        for a, t in picks[j]:
-            sub = best(j + 1, perm_for(t)[0], t_star - 1)
-            if sub is not None:
-                cands.append(((j + 1,) + sub[0], (a,) + sub[1]))
-        if cands:
-            indices, applied = min(cands)
-            return Certificate(indices=indices, weights=applied)
-    raise RuntimeError("certificate extraction lost a feasible pick")
+    picks = []
+    sums = 0
+    j = 0
+    while len(picks) < t:
+        trial = grid.fold(sums, images[j])
+        if trial & (rows[t - len(picks) - 1][j + 1] | 1):
+            picks.append(j)
+            sums = trial
+        j += 1
+
+    # rests[k]: negated sums of the picks after the k-th
+    rests = [0]
+    for j in reversed(picks[1:]):
+        rests.append(grid.fold(rests[-1], negated[j]))
+    rests.reverse()
+    applied = []
+    sums = 0
+    for j, rest in zip(picks, rests):
+        for a in entries:
+            trial = grid.fold(sums, _element_images(grid, elems[j], (a,))[1])
+            if trial & (rest | 1):
+                break
+        else:
+            raise RuntimeError("certificate extraction lost a feasible pick")
+        applied.append(a)
+        sums = trial
+    return Certificate(
+        indices=tuple(j + 1 for j in picks), weights=tuple(applied)
+    )

@@ -8,7 +8,12 @@ something.
 from itertools import combinations, permutations, product
 
 from davlab.metacyclic import IDENTITY, mul
-from davlab.zsfree import ZSequence, brute_force_oracle
+from davlab.zsfree import (
+    Certificate,
+    ZSequence,
+    _weight_entries,
+    brute_force_oracle,
+)
 
 
 def max_zsf_length_bruteforce(n, weights, cap):
@@ -34,22 +39,33 @@ def max_zsf_length_bruteforce(n, weights, cap):
     return length
 
 
-def min_zero_sum_size(S, weights):
-    """Smallest pick count of a weighted zero sum of S, or None.
+def lexmin_certificate(S, weights):
+    """Shortest weighted zero sum of S with the smallest index tuple, then
+    the smallest weight tuple, or None.
 
-    Checks every index subset and every weight assignment outright.
+    Checks every index subset and every weight assignment outright, in
+    lexicographic order, over Z_n and over products alike.
     """
-    if isinstance(weights, (set, frozenset, list, tuple)):
-        entries = sorted({w % S.moduli[0] for w in weights})
+    entries = _weight_entries(weights, S.moduli)
+    moduli = S.moduli
+    # rank 1 as a product with one coordinate
+    if len(moduli) == 1:
+        elems = [(x,) for x in S.elements]
+        vecs = [(a,) for a in entries]
     else:
-        entries = list(weights)
-    n = S.moduli[0]
-    elems = S.elements
+        elems, vecs = S.elements, entries
     for t in range(1, len(elems) + 1):
         for idxs in combinations(range(len(elems)), t):
-            for assign in product(entries, repeat=t):
-                if sum(a * elems[i] for a, i in zip(assign, idxs)) % n == 0:
-                    return t
+            for assign in product(range(len(entries)), repeat=t):
+                if all(
+                    sum(vecs[a][c] * elems[i][c] for a, i in zip(assign, idxs))
+                    % q == 0
+                    for c, q in enumerate(moduli)
+                ):
+                    return Certificate(
+                        tuple(i + 1 for i in idxs),
+                        tuple(entries[a] for a in assign),
+                    )
     return None
 
 

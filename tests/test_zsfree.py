@@ -1,5 +1,7 @@
+import inspect
 import random
-from itertools import combinations, product
+import sys
+from itertools import product
 
 import pytest
 
@@ -14,7 +16,7 @@ from davlab.zsfree import (
     has_weighted_zero_sum,
     reachable_sums,
 )
-from _oracles import min_zero_sum_size
+from _oracles import lexmin_certificate
 
 
 def test_zsequence_canonical_storage():
@@ -235,29 +237,28 @@ def test_certificate_none_iff_free():
 
 
 def test_certificate_minimality_and_tiebreak():
+    # fewest picks, then the lexicographically smallest index tuple, then
+    # the smallest weight tuple
     rng = random.Random(0x311)
     for _ in range(150):
         n = rng.randint(2, 12)
         m = rng.randint(1, 6)
         S = ZSequence(n, [rng.randrange(n) for _ in range(m)])
         ws = sorted(rng.sample(range(1, n), rng.randint(1, min(2, n - 1))))
-        cert = extract_certificate(S, ws)
-        want = min_zero_sum_size(S, ws)
-        if want is None:
-            assert cert is None
-            continue
-        assert len(cert.indices) == want
-        # lexicographically smallest index tuple among minimum-size
-        # certificates, then smallest weight tuple
-        best = None
-        for idxs in combinations(range(1, m + 1), want):
-            for assign in product(ws, repeat=want):
-                total = sum(
-                    a * S.elements[i - 1] for a, i in zip(assign, idxs)
-                ) % n
-                if total == 0 and (best is None or (idxs, assign) < best):
-                    best = (idxs, assign)
-        assert (cert.indices, cert.weights) == best
+        assert extract_certificate(S, ws) == lexmin_certificate(S, ws)
+
+
+def test_certificate_deeper_than_recursion_limit():
+    # the only zero sum of 400 copies of 1 in Z_400 takes every element;
+    # extraction must not recurse once per pick
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        cert = extract_certificate(ZSequence(400, [1] * 400), {1})
+    finally:
+        sys.setrecursionlimit(old)
+    assert cert.indices == tuple(range(1, 401))
+    assert cert.weights == (1,) * 400
 
 
 def test_certificate_holds_for_rejects_malformed():
@@ -285,6 +286,7 @@ def test_certificates_in_product_groups():
         assert (cert is None) == (not has_weighted_zero_sum(S, ws))
         if cert is not None:
             assert cert.holds_for(S, ws)
+        assert cert == lexmin_certificate(S, ws)
 
 
 def test_extraction_is_deterministic():
