@@ -6,7 +6,17 @@ identically, so only the class matters.  Appending any element to a
 zero-sum-free sequence strictly enlarges its reachable-sum bitset (otherwise
 some multiple of an image would chain down to zero), which caps the depth at
 |G| - 1 and gives an admissible capacity prune.  Search states (bitset,
-lowest admissible class) are memoized exactly.
+lowest admissible class) are memoized.
+
+The search below a state is fail-soft, as in alpha-beta search: it is handed
+a threshold, the length its caller must see exceeded for the state to matter
+(the larger of the best sibling found and the caller's own threshold, less
+one).  A result above the threshold is the exact longest extension; a result
+at or below it is only a proven upper bound, so a child that cannot beat its
+siblings is searched no further than it takes to show that.  The memo tags
+each entry as exact, a lower bound (a search asked for one length stops once
+it reaches it) or an upper bound, and an upper bound answers only the calls
+whose threshold it does not exceed.
 
 _run_branch is the one branch engine: it is handed a search space (a fold
 over int states, the candidate forms and a capacity base).  Each form is a
@@ -193,24 +203,51 @@ def _run_branch(args):
     state's popcount must bound how many appends can still follow.  Chains
     are nondecreasing candidate indices from root.
 
-    Phase one memoizes the longest extension of every (state, lowest
-    candidate) pair, one table per candidate keyed by the state; with a
-    length set, a loop stops once it reaches that length (best is then at
-    least length) and its entry is kept negated, as a lower bound.  With
-    collect set, phase two walks back down recording every chain of the
-    length (None: the branch maximum).  Nodes are memo entries and chains;
-    each other walk step re-enters a counted state on the way to a chain.
-    On abort the deepest chain seen is a certified lower bound, returned
-    with the chains walked so far: all those found, as phase one stops at
-    its first chain of a set length.  Both phases recurse once per append,
-    so the interpreter's recursion limit also cuts a search: it ends the
-    root as a truncation, like the node and clock budgets.
+    Phase one, max_ext(R, last, depth, beat), bounds the longest extension
+    of a (state, lowest candidate) pair.  It returns v: if v > beat, v is
+    the longest extension; if v <= beat, v is an upper bound on it.  With a
+    length set, a loop stops once it reaches that length, and then v is a
+    lower bound of at least the need (length - depth); callers keep beat
+    below the need, so such a v is above beat and stops its caller too.
+
+    Proof, by induction on the appends still possible.  The loop keeps
+    floor = max(best, beat) and enters a child with threshold floor - 1, so
+    by induction the child's 1 + v is exact when it exceeds floor and an
+    upper bound when it does not.  A child skipped because its capacity is
+    at most floor is bounded by that capacity, and a blocked candidate
+    contributes nothing.  best is the largest contribution.  An upper bound
+    or a capacity is at most floor at its time, which is beat while best <=
+    beat, so best passes beat only through an exact child; then every other
+    child is at most the floor at its time, so at most the final best, and
+    best is exact.  If best ends at or below beat, each contribution bounds
+    its child, so best bounds them all.  Roots call with beat = -1, so each
+    root's length is exact.
+
+    The memo is one table per candidate, keyed by the state, with three
+    kinds of entry: v >= 0, the exact value; -v, a lower bound v of at
+    least the need when it was stored, which answers calls whose need it
+    still meets; top + u, with top = cap_base + 2 above every exact value,
+    an upper bound u, which answers only calls with beat >= u.  Any other
+    call searches the state again, so one state can be searched more than
+    once, at a lower threshold or a larger need.  With collect set, phase
+    two walks back down recording every chain of the length (None: the
+    branch maximum); a child extends far enough exactly when max_ext with
+    threshold remaining - 2 returns more than that.  Nodes are state
+    searches and chains; each other walk step re-enters a counted state on
+    the way to a chain.  On abort the deepest chain seen is a certified
+    lower bound, returned with the chains walked so far: all those found,
+    as phase one stops at its first chain of a set length.  Both phases
+    recurse once per append, so the interpreter's recursion limit also cuts
+    a search: it ends the root as a truncation, like the node and clock
+    budgets.
     """
     space, space_args, root, max_nodes, collect, length, deadline = args
     fold, forms, cap_base = space(*space_args)
     n_forms = len(forms)
     # no sequence is longer than cap_base, so without a length no loop stops
     goal = cap_base + 1 if length is None else length
+    # tags upper-bound memo entries: every exact value is at most cap_base
+    top = cap_base + 2
     nodes = deepest = 0
     memo = [{} for _ in range(n_forms)]
     chains = []
@@ -225,30 +262,40 @@ def _run_branch(args):
         if nodes % CLOCK_EVERY == 1 and time.monotonic() > deadline:
             raise _Abort
 
-    def max_ext(R, last, depth):
+    def max_ext(R, last, depth, beat):
         need = goal - depth
         if need <= 0:
             return 0
         table = memo[last]
         hit = table.get(R)
-        if hit is not None and (hit >= 0 or hit <= -need):
-            return abs(hit)
+        if hit is not None:
+            if hit >= top:
+                if hit - top <= beat:
+                    return hit - top
+            elif hit >= 0 or hit <= -need:
+                return abs(hit)
         tick(depth)
         best = 0
+        floor = beat if beat > 0 else 0
         for i in range(last, n_forms):
             probe, arg = forms[i]
             if R & probe:
                 continue
             Rp = fold(R, arg)
-            if 1 + (cap_base - Rp.bit_count()) <= best:
+            cap = 1 + (cap_base - Rp.bit_count())
+            if cap <= floor:
+                if cap > best:
+                    best = cap
                 continue
-            sub = 1 + max_ext(Rp, i, depth + 1)
+            sub = 1 + max_ext(Rp, i, depth + 1, floor - 1)
             if sub > best:
                 best = sub
                 if best >= need:
                     table[R] = -best
                     return best
-        table[R] = best
+                if best > floor:
+                    floor = best
+        table[R] = best if best > beat else top + best
         return best
 
     def walk(R, last, remaining, prefix):
@@ -263,14 +310,14 @@ def _run_branch(args):
             Rp = fold(R, arg)
             if 1 + (cap_base - Rp.bit_count()) < remaining:
                 continue
-            if 1 + max_ext(Rp, i, len(prefix) + 1) >= remaining:
+            if 1 + max_ext(Rp, i, len(prefix) + 1, remaining - 2) >= remaining:
                 prefix.append(i)
                 walk(Rp, i, remaining - 1, prefix)
                 prefix.pop()
 
     try:
         R0 = fold(0, forms[root][1])
-        best = 1 + max_ext(R0, root, 1)
+        best = 1 + max_ext(R0, root, 1, -1)
         deepest = max(deepest, best)
         target = best if length is None else length
         if collect and target <= best:

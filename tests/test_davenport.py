@@ -22,7 +22,12 @@ from davlab.errors import (
     BudgetExceededError,
     TooLargeError,
 )
-from davlab.modring import WeightSet, quadratic_residue_weights, units
+from davlab.modring import (
+    WeightSet,
+    involutions,
+    quadratic_residue_weights,
+    units,
+)
 from davlab.zsfree import (
     ZSequence,
     _as_moduli,
@@ -116,6 +121,17 @@ def test_matches_levelwise_bruteforce_on_random_weight_sets():
         A = set(rng.sample(range(1, n), size))
         want = max_zsf_length_bruteforce(n, A, n + 1) + 1
         assert exact_davenport(n, A).constant == want
+
+
+def test_involution_rows_match_levelwise_bruteforce():
+    # the {1, s} rows, s an involution other than +-1, are where the
+    # engine's threshold prune bites; the levelwise oracle shares no search
+    rows = [(n, s) for n in range(2, 17) for s in involutions(n)]
+    assert len(rows) == 8
+    for n, s in rows:
+        want = max_zsf_length_bruteforce(n, {1, s}, n + 1) + 1
+        got = exact_davenport(n, {1, s}, collect_witnesses=False)
+        assert got.constant == want
 
 
 def test_signed_weights_closed_form_small():
@@ -258,6 +274,24 @@ def test_determinism_across_parallel_width():
         ]
 
 
+def test_determinism_across_parallel_width_without_witnesses():
+    # the threshold search stores upper bounds in a memo that each root
+    # builds afresh, so node counts, truncated or not, ignore the width
+    full = [verify_sandwich(36, 19, SearchBudget(parallel_width=w))
+            for w in (1, 2)]
+    assert full[0].exhaustive
+    assert (full[0].exact, full[0].nodes) == (full[1].exact, full[1].nodes)
+    partial = []
+    for w in (1, 2):
+        with pytest.raises(BudgetExceededError) as err:
+            verify_sandwich(52, 27,
+                            SearchBudget(max_nodes=5000, parallel_width=w))
+        partial.append(err.value.partial)
+    assert not partial[0].exhaustive
+    assert (partial[0].exact, partial[0].nodes) == (
+        partial[1].exact, partial[1].nodes)
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_wall_clock_budget_is_one_shared_deadline(width):
     # C_7^2 cannot be exhausted in 0.3 s; every root and worker stops at the
@@ -324,3 +358,18 @@ def test_sandwich_budget_exhaustion_keeps_bracket():
     assert not rep.exhaustive
     assert rep.exact <= rep.upper
     assert (rep.lower, rep.upper) == (9, 16)
+
+
+def test_sandwich_rows_53_to_60():
+    # past criteria 1 and 2 (n <= 30) and the bench (n <= 52); the values
+    # are those of the search without the threshold prune
+    pinned = {
+        (55, 21): 11, (55, 34): 13, (56, 15): 16, (56, 41): 10,
+        (57, 20): 20, (57, 37): 9, (60, 11): 12, (60, 19): 9,
+        (60, 29): 7, (60, 31): 31, (60, 41): 21, (60, 49): 14,
+    }
+    reports = {row: verify_sandwich(*row) for row in pinned}
+    assert {row: r.exact for row, r in reports.items()} == pinned
+    assert all(r.exhaustive for r in reports.values())
+    # the threshold must reach the children: 1,658,714 nodes without it
+    assert reports[60, 31].nodes < 800_000
