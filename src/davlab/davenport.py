@@ -40,10 +40,11 @@ shared by every root and worker; where it cuts a search depends on scheduling.
 
 import time
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iter_product
-from math import prod
+from math import comb, prod
 
 from .bounds import table_row
 from .errors import BoundViolationError, BudgetExceededError, TooLargeError
@@ -53,9 +54,10 @@ from .zsfree import ZSequence, _as_moduli, _element_images, _grid, _weight_entri
 # Bitset width cap; beyond this the search would not finish anyway.
 MAX_GROUP_BITS = 4096
 
-# Search nodes between clock reads.  Every branch also reads the clock on its
-# first node, so a root that starts past the deadline stops at once and a
-# search overruns its deadline by at most this many nodes per worker.
+# Search nodes between clock reads.  Every branch also reads the clock before
+# it builds its search space and on its first node, so a root that starts
+# past the deadline stops at once and a search overruns its deadline by at
+# most this many nodes per worker.
 CLOCK_EVERY = 256
 
 
@@ -86,11 +88,70 @@ class SearchBudget:
             raise ValueError("max_seconds must be positive")
 
 
+class _Witnesses(Sequence):
+    """The longest zero-sum-free sequences of a search, read-only and lazy.
+
+    It holds the class-level cores the branch engine found: nondecreasing
+    tuples of candidate indices into members, the element classes.  A core
+    expands to every multiset taking k elements, with repetition, from each
+    class it repeats k times.  Classes partition the elements, so distinct
+    cores expand to disjoint sets and len() is the sum over the cores of the
+    product of C(|class| + k - 1, k), with nothing built.  Iteration and
+    indexing expand every core once, on first use, into ZSequences sorted by
+    their elements.
+    """
+
+    def __init__(self, moduli, members, cores):
+        self._moduli = moduli
+        self._members = members
+        self._cores = cores
+        self._built = None
+
+    def _expand(self, core):
+        pools = [combinations_with_replacement(self._members[i], k)
+                 for i, k in sorted(Counter(core).items())]
+        for pick in iter_product(*pools):
+            yield tuple(sorted(sum(pick, ())))
+
+    def _sequences(self):
+        if self._built is None:
+            found = sorted(e for core in self._cores for e in self._expand(core))
+            self._built = tuple(ZSequence(self._moduli, e) for e in found)
+        return self._built
+
+    def __len__(self):
+        return sum(prod(comb(len(self._members[i]) + k - 1, k)
+                        for i, k in Counter(core).items())
+                   for core in self._cores)
+
+    def __getitem__(self, index):
+        return self._sequences()[index]
+
+    def __iter__(self):
+        return iter(self._sequences())
+
+    # value semantics, so that ExactResults of equal searches compare and
+    # hash equal
+    def __eq__(self, other):
+        if not isinstance(other, _Witnesses):
+            return NotImplemented
+        return self._sequences() == other._sequences()
+
+    def __hash__(self):
+        return hash(self._sequences())
+
+
 @dataclass(frozen=True)
 class ExactResult:
+    """constant is one more than max_zsf_length, the longest zero-sum-free
+    length.  witnesses is None when the search collected none, and otherwise
+    a lazy read-only sequence of every zero-sum-free sequence of that
+    length: len() counts them without building any, and iterating or
+    indexing builds them once, as ZSequences sorted by their elements."""
+
     constant: int
     max_zsf_length: int
-    witnesses: tuple | None
+    witnesses: Sequence | None
     exhaustive: bool
     nodes: int
 
@@ -157,14 +218,25 @@ def _unit_action(n, members, scale):
     return units(n), act
 
 
+def _orbit(action, items):
+    """The images of a multiset under every element of the action (group,
+    act), each as a sorted tuple: chains of candidates under the unit
+    action, or sequences of elements under the unit scaling."""
+    group, act = action
+    return {tuple(sorted(act(u, i) for i in items)) for u in group}
+
+
 def _run_roots(space, space_args, action, count, budget, collect, length=None):
     """_run_branch from every root, in order, serially or on a process pool:
     (longest length, chains, nodes, exhaustive).  With length None only the
     roots reaching the longest length give chains.  The roots are the count
     candidates that no element of the action (group, act) maps lower; each
     orbit holds a chain starting at one, so the chains are returned closed
-    under the action, and sorted.  Every root and forked worker reads one
-    deadline off the system-wide monotonic clock.
+    under the action, and sorted.  The closure maps one found chain per
+    orbit: chains are nondecreasing tuples, the same as their sorted images,
+    so a chain already in the closed set has its whole orbit there.  Every
+    root and forked worker reads one deadline off the system-wide monotonic
+    clock.
     """
     group, act = action
     roots = [i for i in range(count) if all(act(u, i) >= i for u in group)]
@@ -180,8 +252,13 @@ def _run_roots(space, space_args, action, count, budget, collect, length=None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_branch, jobs))
     best = max(r[0] for r in results)
-    closed = {tuple(sorted(act(u, i) for i in chain)) for r in results
-              if length is not None or r[0] == best for chain in r[1] for u in group}
+    closed = set()
+    for r in results:
+        if length is None and r[0] < best:
+            continue
+        for chain in r[1]:
+            if chain not in closed:
+                closed |= _orbit(action, chain)
     return best, sorted(closed), sum(r[2] for r in results), all(r[3] for r in results)
 
 
@@ -195,6 +272,8 @@ def _zero_sum_space(moduli, forms):
 def _run_branch(args):
     """Exhaust one root candidate: (best length, chains, nodes, completed).
 
+    A root that starts past the deadline returns at once, before it builds
+    its search space, as a truncation with 0 nodes.  Otherwise
     space(*space_args) gives (fold, forms, cap_base).  A state is an int,
     0 for the empty sequence, and forms[i] is candidate i's pair (probe,
     arg): probe is the set of state bits that forbid appending it, and
@@ -242,6 +321,8 @@ def _run_branch(args):
     budgets.
     """
     space, space_args, root, max_nodes, collect, length, deadline = args
+    if time.monotonic() > deadline:
+        return 0, (), 0, False
     fold, forms, cap_base = space(*space_args)
     n_forms = len(forms)
     # no sequence is longer than cap_base, so without a length no loop stops
@@ -331,23 +412,10 @@ def _run_branch(args):
         memo.clear()
 
 
-def _expand_witnesses(moduli, members, cores):
-    """Expand class-level cores into element multisets.  Classes partition
-    the elements, so distinct cores expand to disjoint sets: no dedup."""
-    out = []
-    for core in cores:
-        pools = [combinations_with_replacement(members[i], mult)
-                 for i, mult in sorted(Counter(core).items())]
-        for pick in iter_product(*pools):
-            out.append(tuple(sorted(sum(pick, ()))))
-    out.sort()
-    return tuple(ZSequence(moduli, e) for e in out)
-
-
 def _search(moduli, entries, budget, collect):
     cands = _prepare_candidates(moduli, entries)
     if not cands:
-        witnesses = (ZSequence(moduli, ()),) if collect else None
+        witnesses = _Witnesses(moduli, (), ((),)) if collect else None
         return 0, witnesses, 0, True
     forms, members = zip(*cands)
     action = _unit_action(moduli[0], members, _unit_scaling(moduli))
@@ -355,7 +423,7 @@ def _search(moduli, entries, budget, collect):
         _zero_sum_space, (moduli, forms), action, len(cands), budget, collect)
     witnesses = None
     if collect and exhaustive:
-        witnesses = _expand_witnesses(moduli, members, cores)
+        witnesses = _Witnesses(moduli, members, cores)
     return max_len, witnesses, nodes, exhaustive
 
 
@@ -375,6 +443,12 @@ def exact_davenport(n, weights, budget=None, collect_witnesses=True):
     Returns an ExactResult whose constant is one more than the longest
     zero-sum-free length.  Raises BudgetExceededError carrying a certified
     partial result when the budget runs out first.
+
+    With collect_witnesses the search also walks out every longest chain of
+    classes; the sequences themselves are built only when a caller iterates
+    ExactResult.witnesses.  Without it the walk is skipped and witnesses is
+    None.  The flag stays until the benchmark, which passes it, stops doing
+    so.
     """
     moduli = _checked_moduli(n)
     entries = _weight_entries(weights, moduli)
@@ -399,15 +473,30 @@ def exact_davenport_k(n, weights, k, budget=None, collect_witnesses=True):
 
 
 def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
-    """All longest zero-sum-free sequences, optionally one per unit orbit."""
+    """All longest zero-sum-free sequences, sorted, as the lazy sequence of
+    ExactResult.witnesses.
+
+    With orbit_reduced, a tuple of one sequence per orbit of the unit
+    scalings instead: the least image of each orbit, sorted.  It works on
+    the class-level cores and expands one core per orbit of the units acting
+    on cores.  That suffices because a unit u maps the expansions of core c
+    one-to-one onto those of u*c.  Mixed moduli have no unit scaling and
+    get the full list.
+    """
     res = exact_davenport(n, weights, budget, collect_witnesses=True)
+    found = res.witnesses
     moduli = _as_moduli(n)
     scale = _unit_scaling(moduli)
     if not orbit_reduced or scale is None:
-        return res.witnesses
-    us = units(moduli[0])
-    reps = {min(tuple(sorted(scale(u, x) for x in w.elements)) for u in us)
-            for w in res.witnesses}
+        return found
+    action = _unit_action(moduli[0], found._members, scale)
+    scaling = (action[0], scale)
+    seen, reps = set(), set()
+    for core in found._cores:
+        if core in seen:
+            continue
+        seen |= _orbit(action, core)
+        reps.update(min(_orbit(scaling, e)) for e in found._expand(core))
     return tuple(ZSequence(moduli, e) for e in sorted(reps))
 
 

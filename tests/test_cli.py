@@ -127,6 +127,14 @@ def test_exact_pm1():
     }
 
 
+def test_exact_pm1_count_at_60():
+    # the count comes from the class-level cores; no witness is built
+    res = run(["exact", "--n", "60", "--weights", "pm1", "--format", "json"])
+    assert res.exit_code == 0
+    (row,) = json.loads(res.stdout)["rows"]
+    assert (row["constant"], row["witness_count"]) == (6, 521728)
+
+
 def test_exact_weight_families():
     res = run(["exact", "--n", "12", "--weights", "range:3", "--format", "json"])
     assert json.loads(res.stdout)["rows"][0]["constant"] == 4

@@ -7,10 +7,16 @@ from math import gcd
 
 import pytest
 
+from davlab import davenport, metacyclic
 from davlab.bounds import floor_log2
 from davlab.davenport import (
     SearchBudget,
     _prepare_candidates,
+    _run_branch,
+    _run_roots,
+    _unit_action,
+    _unit_scaling,
+    _zero_sum_space,
     enumerate_extremal,
     exact_davenport,
     exact_davenport_k,
@@ -67,6 +73,10 @@ def test_result_shape():
     for w in r.witnesses:
         assert len(w) == r.max_zsf_length
         assert not has_weighted_zero_sum(w, {1, 7})
+    # results compare and hash by value, witness lists included
+    again = exact_davenport(8, {1, 7})
+    assert again == r and hash(again) == hash(r)
+    assert exact_davenport(8, {1, 3}) != r
 
 
 def test_witness_maximality():
@@ -94,7 +104,7 @@ def test_extremal_lists():
 
 def test_extremal_orbit_reduction_covers_everything():
     # units scale Z_n and, coordinatewise, the uniform products
-    cases = ((8, {1, 7}), (12, {1, 5}), (9, {1}),
+    cases = ((8, {1, 7}), (12, {1, 5}), (9, {1}), (20, {1, 19}), (24, {1, 5}),
              ((3, 3), {1}), ((3, 3), {1, 2}), ((4, 4), {1, 3}))
     for n, A in cases:
         base = _as_moduli(n)[0]
@@ -111,6 +121,108 @@ def test_extremal_orbit_reduction_covers_everything():
         reduced = [w.elements for w in enumerate_extremal(n, A, orbit_reduced=True)]
         assert reduced == sorted({min(orbit(e)) for e in full})
         assert set().union(*map(orbit, reduced)) == full
+
+
+def test_witness_count_matches_the_listing():
+    # len() counts the expansions of the cores without building them; the
+    # {1, -1} rows up to n = 30 are among the involution rows
+    cases = [(n, {1, s}) for n in range(2, 31) for s in involutions(n)]
+    cases += [(n, {1, n - 1}) for n in range(31, 41)]
+    cases += [((3, 3), {1, 2}), ((4, 4), {1, 3}), ((2, 4), {1, 3})]
+    for n, A in cases:
+        found = exact_davenport(n, A).witnesses
+        listed = [w.elements for w in found]
+        assert len(found) == len(listed), (n, A)
+        assert listed == sorted(set(listed)), (n, A)
+
+
+def test_witness_count_without_candidates(monkeypatch):
+    # every group has a usable element (all coordinates 1), so only a
+    # stubbed class list reaches the branch with no candidate
+    monkeypatch.setattr(davenport, "_prepare_candidates", lambda *args: [])
+    res = exact_davenport(5, {1})
+    assert (res.constant, res.nodes) == (1, 0)
+    assert len(res.witnesses) == len(list(res.witnesses)) == 1
+    assert res.witnesses[0].elements == ()
+
+
+def test_witness_count_builds_no_sequence(monkeypatch):
+    built = []
+    init = ZSequence.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(ZSequence, "__init__", counting)
+    res = exact_davenport(30, {1, 29})
+    assert len(res.witnesses) == 6656
+    assert built == []
+    # iterating builds each sequence once, and only once
+    assert len(list(res.witnesses)) == len(built) == 6656
+    list(res.witnesses)
+    assert len(built) == 6656
+
+
+def _recorded_closure(monkeypatch, space, space_args, action, count, length):
+    # _run_roots' closed chains, the naive closure of every chain the roots
+    # found under every element of the action, and how many chains and
+    # orbits were found
+    found = []
+
+    def record(args):
+        result = _run_branch(args)
+        found.append(result)
+        return result
+
+    monkeypatch.setattr(davenport, "_run_branch", record)
+    best, closed, _, exhaustive = _run_roots(
+        space, space_args, action, count, SearchBudget(), True, length)
+    assert exhaustive
+    group, act = action
+    chains = [chain for r in found if length is not None or r[0] == best
+              for chain in r[1]]
+    orbits = [{tuple(sorted(act(u, i) for i in chain)) for u in group}
+              for chain in chains]
+    naive = sorted(set().union(*orbits))
+    return closed, naive, len(chains), len({min(o) for o in orbits})
+
+
+@pytest.mark.parametrize("n, s", [(12, 5), (24, 17), (20, 19)])
+def test_orbit_closure_matches_naive_zero_sum(monkeypatch, n, s):
+    moduli = (n,)
+    forms, members = zip(*_prepare_candidates(moduli, _weight_entries({1, s}, moduli)))
+    action = _unit_action(n, members, _unit_scaling(moduli))
+    closed, naive, chains, orbits = _recorded_closure(
+        monkeypatch, _zero_sum_space, (moduli, forms), action, len(forms), None)
+    assert closed == naive
+    # some orbit holds several found chains, so the skip is exercised
+    assert chains > orbits
+
+
+@pytest.mark.parametrize("n, s", [(12, 5), (16, 7)])
+def test_orbit_closure_matches_naive_slot_space(monkeypatch, n, s):
+    members = [(g,) for g in metacyclic._candidates(n)]
+    action = _unit_action(n, members, lambda u, g: (g[0], u * g[1] % n))
+    closed, naive, _, _ = _recorded_closure(
+        monkeypatch, metacyclic._slot_space, (n, s), action, len(members), n)
+    assert closed == naive
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_late_root_returns_before_building_its_space(width):
+    # every root starts past a deadline that has already passed: each ends
+    # as a truncation with no node, serially and in pool workers alike
+    with pytest.raises(BudgetExceededError) as err:
+        exact_davenport(12, {1, 5}, SearchBudget(max_seconds=1e-9,
+                                                 parallel_width=width))
+    assert (err.value.partial.constant, err.value.partial.nodes) == (1, 0)
+
+    def space(*args):
+        raise AssertionError("a late root built its search space")
+
+    assert _run_branch((space, (), 0, 10, True, None, time.monotonic() - 1)) == (
+        0, (), 0, False)
 
 
 def test_matches_levelwise_bruteforce_on_random_weight_sets():
