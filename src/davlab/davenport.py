@@ -116,7 +116,7 @@ class _Witnesses(Sequence):
     def _sequences(self):
         if self._built is None:
             found = sorted(e for core in self._cores for e in self._expand(core))
-            self._built = tuple(ZSequence(self._moduli, e) for e in found)
+            self._built = tuple(ZSequence._of(self._moduli, e) for e in found)
         return self._built
 
     def __len__(self):
@@ -156,33 +156,28 @@ class ExactResult:
     nodes: int
 
 
-def _usable_elements(grid, entries):
-    """(element, probe, shift forms) of every element whose weighted images
-    are all nonzero, in code order.  An element with a zero image can never
-    sit in a zero-sum-free sequence.
+def _prepare_candidates(moduli, entries):
+    """Group the usable elements, those whose weighted images are all
+    nonzero, into classes with equal weighted-image sets: a list of ((probe,
+    shift forms), members).  An element with a zero image can never sit in
+    a zero-sum-free sequence.
 
     The probe is the bitset of the negated images: appending the element to
     a sequence with reachable sums R makes a zero sum exactly when R & probe,
     because every image is nonzero.  Negation is a bijection, so equal probes
-    mean equal image sets."""
+    mean equal image sets.  The scan runs in code order, so classes come
+    ordered by their smallest member code, which fixes the enumeration order
+    everywhere.
+    """
+    grid = _grid(moduli)
+    by_probe = {}
     for code in range(1, grid.size):
         x = code if grid.rank == 1 else grid.decode(code)
         codes, shifts = _element_images(grid, x, entries)
         if codes[0]:
             negs = (grid.encode([-v for v in grid.decode(c)]) for c in codes)
-            yield x, sum(1 << c for c in negs), shifts
-
-
-def _prepare_candidates(moduli, entries):
-    """Group usable elements into classes with equal weighted-image sets:
-    a list of ((probe, shift forms), members).
-
-    The scan runs in code order, so classes come ordered by their smallest
-    member code, which fixes the enumeration order everywhere.
-    """
-    by_probe = {}
-    for x, probe, shifts in _usable_elements(_grid(moduli), entries):
-        by_probe.setdefault(probe, ((probe, shifts), []))[1].append(x)
+            probe = sum(1 << c for c in negs)
+            by_probe.setdefault(probe, ((probe, shifts), []))[1].append(x)
     return [(form, tuple(members)) for form, members in by_probe.values()]
 
 
@@ -229,15 +224,15 @@ def _orbit(action, items):
 def _run_roots(space, space_args, action, count, budget, collect, length=None):
     """_run_branch from every root, in order, serially or on a process pool:
     (longest length, chains, nodes, exhaustive).  With length None only the
-    roots reaching the longest length give chains.  The roots are the count
-    candidates that no element of the action (group, act) maps lower; each
-    orbit holds a chain starting at one, so the chains are returned closed
-    under the action, and sorted.  The closure maps one found chain per
-    orbit: chains are nondecreasing tuples, the same as their sorted images,
-    so a chain already in the closed set has its whole orbit there.  Every
-    root and forked worker reads one deadline off the system-wide monotonic
-    clock.
-    """
+    roots reaching the longest length give chains; with a length set, the
+    longest length only tells whether a root reaches it.  The roots are the
+    count candidates that no element of the action (group, act) maps lower;
+    each orbit holds a chain starting at one, so the chains are returned
+    closed under the action, and sorted.  The closure maps one found chain
+    per orbit: chains are nondecreasing tuples, the same as their sorted
+    images, so a chain already in the closed set has its whole orbit there.
+    Every root and forked worker reads one deadline off the system-wide
+    monotonic clock."""
     group, act = action
     roots = [i for i in range(count) if all(act(u, i) >= i for u in group)]
     deadline = time.monotonic() + budget.max_seconds
@@ -300,7 +295,9 @@ def _run_branch(args):
     child is at most the floor at its time, so at most the final best, and
     best is exact.  If best ends at or below beat, each contribution bounds
     its child, so best bounds them all.  Roots call with beat = -1, so each
-    root's length is exact.
+    root's length is exact; with a length set they call with length - 2, so
+    a root that cannot reach it is searched only until that is shown, and
+    its length is then an upper bound below the set length.
 
     The memo is one table per candidate, keyed by the state, with three
     kinds of entry: v >= 0, the exact value; -v, a lower bound v of at
@@ -398,7 +395,7 @@ def _run_branch(args):
 
     try:
         R0 = fold(0, forms[root][1])
-        best = 1 + max_ext(R0, root, 1, -1)
+        best = 1 + max_ext(R0, root, 1, -1 if length is None else length - 2)
         deepest = max(deepest, best)
         target = best if length is None else length
         if collect and target <= best:
@@ -412,15 +409,13 @@ def _run_branch(args):
         memo.clear()
 
 
-def _search(moduli, entries, budget, collect):
-    cands = _prepare_candidates(moduli, entries)
-    if not cands:
-        witnesses = _Witnesses(moduli, (), ((),)) if collect else None
-        return 0, witnesses, 0, True
-    forms, members = zip(*cands)
+def _search(moduli, entries, budget, collect, length=None):
+    # never empty: the all-ones element has the weights, none zero, as images
+    forms, members = zip(*_prepare_candidates(moduli, entries))
     action = _unit_action(moduli[0], members, _unit_scaling(moduli))
     max_len, cores, nodes, exhaustive = _run_roots(
-        _zero_sum_space, (moduli, forms), action, len(cands), budget, collect)
+        _zero_sum_space, (moduli, forms), action, len(forms), budget, collect,
+        length)
     witnesses = None
     if collect and exhaustive:
         witnesses = _Witnesses(moduli, members, cores)
@@ -497,40 +492,28 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
             continue
         seen |= _orbit(action, core)
         reps.update(min(_orbit(scaling, e)) for e in found._expand(core))
-    return tuple(ZSequence(moduli, e) for e in sorted(reps))
+    return tuple(ZSequence._of(moduli, e) for e in sorted(reps))
 
 
 def zero_sum_free_sequences(n, weights, length):
     """Yield every zero-sum-free sequence of the given length, in sorted
-    element order, smallest first.  Exhaustive, with no class merging."""
+    element order, smallest first: the engine's chains of classes of that
+    length, closed under units and expanded.  A search cut off by the
+    default SearchBudget or the recursion limit raises BudgetExceededError
+    before anything is yielded."""
     moduli = _checked_moduli(n)
     if not isinstance(length, int) or isinstance(length, bool) or length < 0:
         raise ValueError(f"need a length >= 0, got {length!r}")
     entries = _weight_entries(weights, moduli)
-    grid = _grid(moduli)
     if length == 0:
         yield ZSequence(moduli, ())
         return
-    elems = sorted(_usable_elements(grid, entries))
-    size = grid.size
-    seq = []
-
-    def rec(R, start, depth):
-        if depth == length:
-            yield ZSequence(moduli, tuple(seq))
-            return
-        for idx in range(start, len(elems)):
-            x, probe, shifts = elems[idx]
-            if R & probe:
-                continue
-            Rp = grid.fold(R, shifts)
-            if 1 + (size - 1 - Rp.bit_count()) < length - depth:
-                continue
-            seq.append(x)
-            yield from rec(Rp, idx, depth + 1)
-            seq.pop()
-
-    yield from rec(0, 0, 0)
+    _, found, nodes, exhaustive = _search(
+        moduli, entries, SearchBudget(), True, length)
+    if not exhaustive:
+        raise BudgetExceededError(
+            f"listing of length {length} cut off after {nodes} nodes")
+    yield from found
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,18 @@ class ZSequence:
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "elements", tuple(elems))
 
+    @classmethod
+    def _of(cls, moduli, elements):
+        """A sequence built without validation.  The caller guarantees
+        what __init__ would establish: moduli came from _as_moduli, and
+        elements is a sorted tuple of reduced elements (ints for rank one,
+        coordinate tuples otherwise).  Writing the instance dict directly
+        costs half as much as object.__setattr__."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["moduli"], fields["elements"] = moduli, elements
+        return self
+
     @property
     def n(self):
         if len(self.moduli) != 1:

@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 import time
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -136,25 +136,30 @@ def test_witness_count_matches_the_listing():
         assert listed == sorted(set(listed)), (n, A)
 
 
-def test_witness_count_without_candidates(monkeypatch):
-    # every group has a usable element (all coordinates 1), so only a
-    # stubbed class list reaches the branch with no candidate
-    monkeypatch.setattr(davenport, "_prepare_candidates", lambda *args: [])
-    res = exact_davenport(5, {1})
-    assert (res.constant, res.nodes) == (1, 0)
-    assert len(res.witnesses) == len(list(res.witnesses)) == 1
-    assert res.witnesses[0].elements == ()
+def test_every_accepted_weight_set_has_the_all_ones_class():
+    # the all-ones element has the weights themselves as its images, and a
+    # weight that is zero on every coordinate is rejected, so the search
+    # always has a candidate
+    groups = [((n,), range(1, n)) for n in range(2, 13)]
+    groups += [(m, [w for w in product(*map(range, m)) if any(w)])
+               for m in ((2, 4), (3, 3))]
+    for moduli, weights in groups:
+        ones = 1 if len(moduli) == 1 else (1,) * len(moduli)
+        for size in range(1, len(weights) + 1):
+            for A in combinations(weights, size):
+                cands = _prepare_candidates(moduli, _weight_entries(A, moduli))
+                assert any(ones in members for _, members in cands), (moduli, A)
 
 
 def test_witness_count_builds_no_sequence(monkeypatch):
     built = []
-    init = ZSequence.__init__
+    of = ZSequence._of
 
-    def counting(self, *args):
+    def counting(cls, *args):
         built.append(1)
-        init(self, *args)
+        return of(*args)
 
-    monkeypatch.setattr(ZSequence, "__init__", counting)
+    monkeypatch.setattr(ZSequence, "_of", classmethod(counting))
     res = exact_davenport(30, {1, 29})
     assert len(res.witnesses) == 6656
     assert built == []
@@ -162,6 +167,22 @@ def test_witness_count_builds_no_sequence(monkeypatch):
     assert len(list(res.witnesses)) == len(built) == 6656
     list(res.witnesses)
     assert len(built) == 6656
+
+
+def test_trusted_constructor_builds_checked_sequences():
+    # witness lists skip ZSequence's checks; each sequence must equal the
+    # one the checked constructor builds from the same data
+    lists = [
+        exact_davenport(30, {1, 29}).witnesses,
+        exact_davenport((3, 3), {1, 2}).witnesses,
+        exact_davenport((2, 4), {1, 3}).witnesses,
+        enumerate_extremal(40, (1, 39), orbit_reduced=True),
+    ]
+    for found in lists:
+        assert len(found) > 0
+        for w in found:
+            checked = ZSequence(w.moduli, w.elements)
+            assert w == checked and hash(w) == hash(checked)
 
 
 def _recorded_closure(monkeypatch, space, space_args, action, count, length):
@@ -334,6 +355,19 @@ def test_deep_chain_ends_as_truncation():
     assert 100 < partial.constant <= 400
 
 
+def test_truncated_listing_raises():
+    # the listing runs on the same engine, so a chain deeper than the
+    # recursion limit cuts it off too; it must raise rather than yield a
+    # partial list
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        with pytest.raises(BudgetExceededError):
+            list(zero_sum_free_sequences(400, {1}, 399))
+    finally:
+        sys.setrecursionlimit(old)
+
+
 @pytest.mark.parametrize(
     "moduli, A",
     [
@@ -442,6 +476,36 @@ def test_zero_sum_free_sequence_listing(moduli, A, elements):
     assert list(zero_sum_free_sequences(moduli, A, 4)) == []
     empties = list(zero_sum_free_sequences(moduli, A, 0))
     assert len(empties) == 1 and empties[0].elements == ()
+
+
+@pytest.mark.parametrize(
+    "moduli, A",
+    [pytest.param(n, {1}, id=f"{n}-1") for n in range(2, 11)]
+    + [pytest.param(n, {1, n - 1}, id=f"{n}-pm1") for n in range(3, 11)]
+    + [pytest.param(13, quadratic_residue_weights(13), id="13-qr"),
+       pytest.param((3, 3), {1, 2}, id="3x3"),
+       pytest.param((2, 4), {1, 3}, id="2x4")],
+)
+def test_zero_sum_free_sequences_match_the_oracle(moduli, A):
+    # every length from 0 up to one above the maximum, against nondecreasing
+    # tuples the literal oracle finds free; freeness is hereditary, so only
+    # tuples whose prefix is free need asking
+    moduli = _as_moduli(moduli)
+    elements = range(moduli[0]) if len(moduli) == 1 else list(
+        product(*map(range, moduli)))
+    free, length = {()}, 0
+    while True:
+        want = [t for t in combinations_with_replacement(elements, length)
+                if t[:-1] in free
+                and not brute_force_oracle(ZSequence(moduli, t), A)]
+        got = [S.elements for S in zero_sum_free_sequences(moduli, A, length)]
+        assert got == want, length
+        if not want:
+            break
+        free, length = set(want), length + 1
+    # length 0 listed the one empty sequence, and the loop ends one above
+    # the maximum, where both sides are empty
+    assert length == exact_davenport(moduli, A).constant
 
 
 def test_sandwich_reports():
