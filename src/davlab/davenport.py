@@ -25,12 +25,13 @@ tested with one AND before fold(state, arg) builds the next state.  Here
 (_zero_sum_space) the probe holds the negated weighted images of a class;
 metacyclic's slot-sum space is the other instance.
 
-Both searches run one unit orbit at a time: _unit_action lifts an element
-scaling (_unit_scaling here, (eps, a) -> (eps, u*a) in metacyclic) to the
-candidates, and _run_roots seeds only the candidates that no unit maps to a
-lower index, then closes what the roots find under the same action.  For
-uniform moduli unit scaling permutes the classes (ordered by their smallest
-member) and so the zero-sum-free multisets.
+Both searches run one orbit at a time: _unit_action lifts a group of
+element maps (the unit scalings _unit_scaling here, the affine automorphisms
+of metacyclic._search there) to the candidates, and _run_roots seeds only
+the candidates that no group element maps to a lower index, then closes what
+the roots find under the same action.  For uniform moduli unit scaling
+permutes the classes (ordered by their smallest member) and so the
+zero-sum-free multisets.
 
 Node budgets are enforced per root branch with a fresh memo each, so
 node-limited truncation yields identical results at any parallel width.  The
@@ -41,7 +42,7 @@ shared by every root and worker; where it cuts a search depends on scheduling.
 import time
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iter_product
 from math import comb, prod
@@ -193,32 +194,34 @@ def _unit_scaling(moduli):
     return lambda u, x: tuple(u * c % n for c in x)
 
 
-def _unit_action(n, members, scale):
-    """The units of Z_n acting on candidates: (units, act), act(u, i) the
-    index of the candidate holding scale(u, x) for the members x of i.
+def _unit_action(group, members, scale):
+    """A group of element maps acting on candidates: (group, act), act(g, i)
+    the index of the candidate holding scale(g, x) for the members x of i.
+    The group is the units of Z_n scaling elements here, and the affine maps
+    of the slot-sum candidates in metacyclic.
 
-    scale(u, .) must permute the candidates; None gives ((1,), identity).
-    act is lazy because the root test stops at the first unit that lowers a
-    candidate, mostly within a few units: a table over all units and
-    candidates costs more than the search it seeds at large n.
+    scale(g, .) must permute the candidates; None gives ((1,), identity).
+    act is lazy because the root test stops at the first element that lowers
+    a candidate, mostly within a few: a table over the whole group and every
+    candidate costs more than the search it seeds at large n.
     """
     if scale is None:
-        return (1,), lambda u, i: i
+        return (1,), lambda g, i: i
     index_of = {x: i for i, xs in enumerate(members) for x in xs}
     reps = [xs[0] for xs in members]
 
-    def act(u, i):
-        return index_of[scale(u, reps[i])]
+    def act(g, i):
+        return index_of[scale(g, reps[i])]
 
-    return units(n), act
+    return group, act
 
 
 def _orbit(action, items):
     """The images of a multiset under every element of the action (group,
-    act), each as a sorted tuple: chains of candidates under the unit
+    act), each as a sorted tuple: chains of candidates under the candidate
     action, or sequences of elements under the unit scaling."""
     group, act = action
-    return {tuple(sorted(act(u, i) for i in items)) for u in group}
+    return {tuple(sorted(act(g, i) for i in items)) for g in group}
 
 
 def _run_roots(space, space_args, action, count, budget, collect, length=None):
@@ -232,21 +235,24 @@ def _run_roots(space, space_args, action, count, budget, collect, length=None):
     per orbit: chains are nondecreasing tuples, the same as their sorted
     images, so a chain already in the closed set has its whole orbit there.
     Every root and forked worker reads one deadline off the system-wide
-    monotonic clock."""
-    group, act = action
-    roots = [i for i in range(count) if all(act(u, i) >= i for u in group)]
+    monotonic clock, fixed before the roots are chosen, and no root is
+    dispatched once it has passed: the search then ends as a truncation."""
     deadline = time.monotonic() + budget.max_seconds
+    group, act = action
+    roots = [i for i in range(count) if all(act(g, i) >= i for g in group)]
     jobs = [
         (space, space_args, root, budget.max_nodes, collect, length, deadline)
         for root in roots
     ]
     if budget.parallel_width == 1 or len(jobs) == 1:
-        results = [_run_branch(job) for job in jobs]
+        results = []
+        for job in jobs:
+            if time.monotonic() > deadline:
+                break
+            results.append(_run_branch(job))
     else:
-        workers = min(budget.parallel_width, len(jobs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_branch, jobs))
-    best = max(r[0] for r in results)
+        results = _run_pool(jobs, min(budget.parallel_width, len(jobs)), deadline)
+    best = max((r[0] for r in results), default=0)
     closed = set()
     for r in results:
         if length is None and r[0] < best:
@@ -254,7 +260,25 @@ def _run_roots(space, space_args, action, count, budget, collect, length=None):
         for chain in r[1]:
             if chain not in closed:
                 closed |= _orbit(action, chain)
-    return best, sorted(closed), sum(r[2] for r in results), all(r[3] for r in results)
+    exhaustive = len(results) == len(jobs) and all(r[3] for r in results)
+    return best, sorted(closed), sum(r[2] for r in results), exhaustive
+
+
+def _run_pool(jobs, workers, deadline):
+    """_run_branch over jobs on a pool of workers, in any order.  A job is
+    submitted only when a worker is free and the deadline has not passed, so
+    a late root costs no round trip to the pool."""
+    results, running = [], set()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for job in jobs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                results += [f.result() for f in done]
+            if time.monotonic() > deadline:
+                break
+            running.add(pool.submit(_run_branch, job))
+        results += [f.result() for f in running]
+    return results
 
 
 def _zero_sum_space(moduli, forms):
@@ -412,7 +436,7 @@ def _run_branch(args):
 def _search(moduli, entries, budget, collect, length=None):
     # never empty: the all-ones element has the weights, none zero, as images
     forms, members = zip(*_prepare_candidates(moduli, entries))
-    action = _unit_action(moduli[0], members, _unit_scaling(moduli))
+    action = _unit_action(units(moduli[0]), members, _unit_scaling(moduli))
     max_len, cores, nodes, exhaustive = _run_roots(
         _zero_sum_space, (moduli, forms), action, len(forms), budget, collect,
         length)
@@ -484,7 +508,7 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
     scale = _unit_scaling(moduli)
     if not orbit_reduced or scale is None:
         return found
-    action = _unit_action(moduli[0], found._members, scale)
+    action = _unit_action(units(moduli[0]), found._members, scale)
     scaling = (action[0], scale)
     seen, reps = set(), set()
     for core in found._cores:

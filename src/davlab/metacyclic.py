@@ -14,6 +14,15 @@ product-one-free after appending g exactly when the inverse of g is not
 such a sum.  The classification and small Davenport searches run that fold
 through davenport._run_branch (_slot_space); the product-one detector runs
 it once per pick count.
+
+The searches use two reductions.  Candidates come plain first, so after a
+reflection only reflections follow, and they never read kind 0: the search
+fold drops kind 0 there (the detector keeps it).  And the maps y -> y^u,
+x -> x y^c, u a unit and c(1 + s) = 0 (mod n), are automorphisms, acting on
+elements as (eps, a) -> (eps, u*a + eps*c).  The translations fix every
+plain element, so past a plain prefix only x y^b with b below
+n / gcd(n, 1 + s) needs to start the reflections; the searches run one
+orbit at a time and close what they find under the same maps (_search).
 """
 
 from dataclasses import dataclass
@@ -22,6 +31,7 @@ from math import gcd
 
 from .davenport import SearchBudget, _run_roots, _unit_action
 from .errors import BudgetExceededError, WrongLengthError
+from .modring import units
 
 @dataclass(frozen=True, order=True)
 class MetaElem:
@@ -289,49 +299,95 @@ def _candidates(n):
     return [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
 
 
+def _translation_step(n, s):
+    """The least c > 0 with c(1 + s) = 0 (mod n): x -> x y^c, y -> y is an
+    automorphism exactly for the multiples c of it."""
+    return n // gcd(n, 1 + s)
+
+
 def _slot_space(n, s):
     """The product-one-free search space for davenport._run_branch, over
     _SlotSums states without the empty sum.
 
+    The fold is defined on candidate-ordered chains only, the chains that
+    _run_branch builds: plain elements first, so no plain element follows a
+    reflection.  A reflection append never reads kind 0, and nothing after
+    it does either, so the fold clears kind 0 there: kind 0 is nonempty
+    exactly while the chain is plain and nonempty, and states that differ
+    only in kind 0 share one memo entry.  The product-one detector keeps
+    kind 0.
+
     A form is (probe, (eps, v)), and the probe holds the candidate's inverse:
     a plain y^v is blocked when -v lies in kind 0 or in kind 2 at balance 0
     (an even, nonzero number of reflections), a reflection x y^v when -v*s
-    lies in kind 2 at balance +1.
+    lies in kind 2 at balance +1.  A reflection x y^v with v >= step
+    (_translation_step) also carries all of kind 0, so it cannot be the
+    first reflection after plain elements.  x y^b -> x y^(b + c), with c a
+    multiple of step, is an automorphism that fixes every plain element, so
+    it maps a chain with a plain prefix to one whose first reflection has
+    b < step and the same prefix; _search closes the found chains under it.
 
     Capacity: a plain append adds v to kind 0, new since kind 0 would
     otherwise be closed under adding v and so hold 0; a reflection append
-    fills kind 2 one balance above the highest in use.  A product-one-free
-    sequence has at most 2n - 1 elements, so its balances fit in 4n + 1 lanes
-    and n * (4n + 1) bounds the popcount that appends can reach.
+    fills kind 2 one balance above the highest in use.  So every append
+    raises the popcount by at least one, except that the first reflection
+    also clears kind 0, at most n - 1 bits (0 is not among them).  A
+    product-one-free sequence has at most 2n - 1 elements, so kind 2 fits in
+    lanes 2 to 4n, next to kind 0 in lane 0 and kind 1 in lane 1.  Take m
+    appends after a state with popcount p.  If the chain ends holding a
+    reflection, its kind 0 is empty, so its popcount is at most 4n * n and
+    at least p + m - (n - 1): m <= n(4n + 1) - 1 - p.  If it stays plain,
+    its popcount is at most 2n, so m <= 2n - p.  So n * (4n + 1) minus the
+    popcount bounds the appends that can still follow, as it did while kind
+    0 was kept.
     """
     slots = _slot_sums(n, s)
     append, empty = slots.append, slots.empty
-    forms = [(1 << (4 * n + (-v * s) % n) if eps else 1 << (n - v) | 1 << (3 * n - v),
-              (eps, v)) for eps, v in _candidates(n)]
+    lane0 = (1 << n) - 1
+    step = _translation_step(n, s)
+    forms = [((1 << (4 * n + (-v * s) % n) | (lane0 if v >= step else 0)) if eps
+              else 1 << (n - v) | 1 << (3 * n - v), (eps, v))
+             for eps, v in _candidates(n)]
+    drop_kind0 = ~lane0
 
     def fold(state, arg):
         eps, v = arg
-        return append(state, state | empty, eps, v)
+        return append(state & drop_kind0 if eps else state, state | empty, eps, v)
 
     return fold, forms, n * (4 * n + 1)
 
 
+def _action(n, s):
+    """The automorphisms x^eps y^a -> x^eps y^(u*a + eps*c), u a unit and c a
+    multiple of _translation_step, acting on _candidates: y -> y^u with
+    x -> x y^c."""
+    members = [(g,) for g in _candidates(n)]
+    group = [(u, c) for c in range(0, n, _translation_step(n, s))
+             for u in units(n)]
+    return _unit_action(group, members,
+                        lambda g, e: (e[0], (g[0] * e[1] + e[0] * g[1]) % n))
+
+
 _REDUCTION_NOTE = (
-    "first element minimized over the automorphisms (eps, a) -> (eps, u*a), "
-    "u a unit; findings closed under the same maps"
+    "first element minimized over the automorphisms (eps, a) -> "
+    "(eps, u*a + eps*c), u a unit and c(1 + s) = 0; plain prefixes followed "
+    "by x y^b with b < n / gcd(n, 1 + s) only; findings closed under the "
+    "same maps"
 )
 
 
 def _search(spec, budget, length=None):
     """davenport._run_roots over _candidates, one orbit of the automorphisms
-    (eps, a) -> (eps, u*a), u a unit, at a time: the roots are y^d, x and
-    x y^d for d | n, d < n, and the chains of `length`, listed when it is
-    set, come back closed under the same maps."""
+    (eps, a) -> (eps, u*a + eps*c) at a time, u a unit and c(1 + s) = 0
+    (mod n): y -> y^u together with x -> x y^c.  The roots are y^d for
+    d | n, d < n, and the x y^b with b least in its orbit, so b is below
+    _translation_step(n, s); past a plain root, _slot_space's probe lets
+    only such a b start the reflections.  The chains of `length`, listed
+    when it is set, come back closed under the same maps."""
     n = spec.n
-    members = [(g,) for g in _candidates(n)]
-    action = _unit_action(n, members, lambda u, g: (g[0], u * g[1] % n))
-    return _run_roots(_slot_space, (n, spec.s), action, len(members),
-                      budget or SearchBudget(), length is not None, length)
+    return _run_roots(_slot_space, (n, spec.s), _action(n, spec.s),
+                      2 * n - 1, budget or SearchBudget(), length is not None,
+                      length)
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def _recorded_closure(monkeypatch, space, space_args, action, count, length):
 def test_orbit_closure_matches_naive_zero_sum(monkeypatch, n, s):
     moduli = (n,)
     forms, members = zip(*_prepare_candidates(moduli, _weight_entries({1, s}, moduli)))
-    action = _unit_action(n, members, _unit_scaling(moduli))
+    action = _unit_action(units(n), members, _unit_scaling(moduli))
     closed, naive, chains, orbits = _recorded_closure(
         monkeypatch, _zero_sum_space, (moduli, forms), action, len(forms), None)
     assert closed == naive
@@ -223,11 +223,48 @@ def test_orbit_closure_matches_naive_zero_sum(monkeypatch, n, s):
 
 @pytest.mark.parametrize("n, s", [(12, 5), (16, 7)])
 def test_orbit_closure_matches_naive_slot_space(monkeypatch, n, s):
-    members = [(g,) for g in metacyclic._candidates(n)]
-    action = _unit_action(n, members, lambda u, g: (g[0], u * g[1] % n))
     closed, naive, _, _ = _recorded_closure(
-        monkeypatch, metacyclic._slot_space, (n, s), action, len(members), n)
+        monkeypatch, metacyclic._slot_space, (n, s), metacyclic._action(n, s),
+        2 * n - 1, n)
     assert closed == naive
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_late_roots_are_not_dispatched(monkeypatch, width):
+    # once the deadline has passed, no further root reaches _run_branch or
+    # the pool; the search ends as a truncation
+    calls = []
+
+    def record(args):
+        calls.append(args[2])
+        return _run_branch(args)
+
+    class NoPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            raise AssertionError("a late root was sent to the pool")
+
+    monkeypatch.setattr(davenport, "_run_branch", record)
+    monkeypatch.setattr(davenport, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(BudgetExceededError) as err:
+        exact_davenport(12, {1, 5}, SearchBudget(max_seconds=1e-9,
+                                                 parallel_width=width))
+    assert (err.value.partial.constant, err.value.partial.nodes) == (1, 0)
+    assert calls == []
+    # serially, the first root of (76, 39) outlasts the deadline, and the
+    # loop stops there
+    if width == 1:
+        with pytest.raises(BudgetExceededError):
+            exact_davenport(76, {1, 39}, SearchBudget(max_seconds=0.05))
+        assert calls == [0]
 
 
 @pytest.mark.parametrize("width", [1, 2])

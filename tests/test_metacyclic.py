@@ -340,10 +340,22 @@ def test_semidirect_classification():
         assert longer.claimed == () and longer.other == ()
 
 
+def _automorphisms(n, s):
+    # the pairs (u, c) of x^eps y^a -> x^eps y^(u*a + eps*c), u a unit and
+    # c(1 + s) = 0 (mod n), found by scanning every c
+    return [(u, c) for u in units(n) for c in range(n) if c * (1 + s) % n == 0]
+
+
+def _apply(g, spec, u, c):
+    return MetaElem(g.eps, (u * g.a + g.eps * c) % spec.n)
+
+
 def test_unit_action_roots_are_the_divisor_powers(monkeypatch):
-    # the roots that the unit action (eps, a) -> (eps, u*a) picks are y^d,
-    # x and x y^d for the proper divisors d of n; y^a is candidate a - 1
-    # and x y^b candidate n - 1 + b
+    # the roots are the candidates least in their orbit under every
+    # automorphism (u, c), found here by brute force; y^a is candidate a - 1
+    # and x y^b candidate n - 1 + b.  The plain roots stay y^d for the proper
+    # divisors d of n; the reflection roots are x and x y^d for the proper
+    # divisors d of the least translation step
     roots = []
 
     def record(args):
@@ -353,12 +365,78 @@ def test_unit_action_roots_are_the_divisor_powers(monkeypatch):
     monkeypatch.setattr(davenport, "_run_branch", record)
     for n in range(3, 31):
         divs = [d for d in range(1, n) if n % d == 0]
-        want = [d - 1 for d in divs] + [n - 1] + [n - 1 + d for d in divs]
+        cands = [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
+        index = {g: i for i, g in enumerate(cands)}
         for s in range(n):
-            if s * s % n == 1:
-                roots.clear()
-                small_davenport(GroupSpec(n, s))
-                assert roots == want, (n, s)
+            if s * s % n != 1:
+                continue
+            maps = _automorphisms(n, s)
+            want = [i for i, (eps, a) in enumerate(cands)
+                    if all(index[(eps, (u * a + eps * c) % n)] >= i
+                           for u, c in maps)]
+            step = min([c for _, c in maps if c], default=n)
+            assert [i for i in want if i < n - 1] == [d - 1 for d in divs]
+            assert [i - n + 1 for i in want if i >= n - 1] == [0] + [
+                d for d in range(1, step) if step % d == 0]
+            roots.clear()
+            small_davenport(GroupSpec(n, s))
+            assert roots == want, (n, s)
+
+
+def test_automorphisms_preserve_products_and_classifications():
+    # every (u, c) map is an automorphism, and the classify list at length n
+    # is closed under each of them, for every s with n <= 12
+    for n in range(3, 13):
+        for s in [s for s in range(n) if s * s % n == 1]:
+            spec = GroupSpec(n, s)
+            els = spec.all_elements()
+            found = classify_extremal(spec, n)
+            listed = {S.elements for S in found.claimed + found.other}
+            assert listed
+            for u, c in _automorphisms(n, s):
+                assert all(
+                    _apply(mul(g, h, spec), spec, u, c)
+                    == mul(_apply(g, spec, u, c), _apply(h, spec, u, c), spec)
+                    for g in els for h in els
+                )
+                images = {tuple(sorted(_apply(g, spec, u, c) for g in seq))
+                          for seq in listed}
+                assert images == listed, (n, s, u, c)
+
+
+def test_classification_16_9_other_family():
+    # s = n/2 + 1: besides the 128 claimed sequences, 128 others, each 15
+    # copies of a reflection x y^b with b odd plus one y^t or one x y^(b+t),
+    # t odd, 64 of either kind
+    rep = classify_extremal(GroupSpec(16, 9), 16)
+    assert rep.exhaustive
+    assert (len(rep.claimed), len(rep.other)) == (128, 128)
+    kinds = Counter()
+    for S in rep.other:
+        count = Counter(S.elements)
+        assert sorted(count.values()) == [1, 15]
+        refl = next(g for g, k in count.items() if k == 15)
+        extra = next(g for g, k in count.items() if k == 1)
+        assert refl.eps == 1 and refl.a % 2 == 1
+        assert (extra.a - extra.eps * refl.a) % 2 == 1
+        kinds[extra.eps] += 1
+    assert kinds == {0: 64, 1: 64}
+
+
+def test_classification_matches_oracle_with_translations():
+    # (8, 3) has gcd(n, 1 + s) = 4: translations by multiples of 2 join the
+    # units in the reduction, so the oracle must still see every free
+    # multiset of lengths 1-4 reported, and nothing else
+    spec = GroupSpec(8, 3)
+    cases = 0
+    for length in range(1, 5):
+        rep = classify_extremal(spec, length)
+        reported = {S.elements for S in rep.claimed + rep.other}
+        for tup in combinations_with_replacement(spec.all_elements(), length):
+            hits = product_one_oracle(GSequence(spec, tup))
+            assert (tuple(sorted(tup)) in reported) == (not hits)
+            cases += 1
+    assert cases == 4844
 
 
 def test_classification_report_fields():
@@ -429,28 +507,39 @@ def test_small_davenport_deep_chain_ends_as_truncation():
 
 @pytest.mark.parametrize("n, s", [(12, 5), (8, 3), (7, 6)])
 def test_slot_probe_matches_oracle_on_random_chains(n, s):
-    # a candidate's probe must block exactly the appends that make a
-    # product-one subsequence, in every state a product-one-free chain reaches
+    # on product-one-free chains nondecreasing in candidate order, the order
+    # _run_branch builds them in, a candidate at or after the last one must
+    # be blocked by its probe exactly when appending it makes a product-one
+    # subsequence, or when it is x y^b with b >= step and the chain is plain
+    # and nonempty (only b < step may start the reflections after a plain
+    # prefix).  pairs is what the check covered when chains were drawn in
+    # any order.
+    pairs = {(12, 5): 5911, (8, 3): 3360, (7, 6): 2834}[n, s]
     spec = GroupSpec(n, s)
+    step = min(c for c in range(1, n + 1) if c * (1 + s) % n == 0)
     fold, forms, _ = _slot_space(n, s)
     rng = random.Random(n * 1000 + s)
-    checked = 0
-    for _ in range(40):
-        chain, state = [], 0
+    checked = gates = 0
+    for _ in range(120):
+        chain, state, last = [], 0, 0
         while True:
             free = []
-            for probe, arg in forms:
-                hit = has_product_one_subsequence(GSequence(spec, chain + [arg]))
-                assert bool(state & probe) == (hit is not None)
+            for i in range(last, len(forms)):
+                probe, (eps, b) = forms[i]
+                hit = has_product_one_subsequence(GSequence(spec, chain + [(eps, b)]))
+                gated = eps == 1 and b >= step and len(chain) > 0 and not any(
+                    e for e, _ in chain)
+                assert bool(state & probe) == (hit is not None or gated)
                 checked += 1
+                gates += gated and hit is None
                 if hit is None:
-                    free.append(arg)
+                    free.append(i)
             if not free:
                 break
-            arg = rng.choice(free)
-            chain.append(arg)
-            state = fold(state, arg)
-    assert checked > 100
+            last = rng.choice(free)
+            chain.append(forms[last][1])
+            state = fold(state, forms[last][1])
+    assert checked >= pairs and gates > 0
 
 
 def test_small_davenport_budget_exhaustion():
