@@ -8,15 +8,13 @@ computed through bit_length, never through floats.
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMetError
-from .modring import WeightSet, crt_split, psi_inv
+from .modring import WeightSet, _integer, crt_split, psi_inv
 from .zsfree import ZSequence, has_weighted_zero_sum
 
 
 def floor_log2(x):
     """Largest e with 2**e <= x, for a positive integer x."""
-    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-        raise ValueError(f"need a positive integer, got {x!r}")
-    return x.bit_length() - 1
+    return _integer(x, "x", 1).bit_length() - 1
 
 
 def lower_bound(split):
@@ -72,12 +70,11 @@ def multidim_bounds(split, k, d2k=None):
     part; when omitted it defaults to k * (n2 - 1).  Plain bigint arithmetic
     throughout, so n1**k may be arbitrarily large.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k!r}")
+    _integer(k, "k", 1)
     n1, n2 = split.n1, split.n2
     if d2k is None:
         d2k = k * (n2 - 1)
-    elif d2k < k * (n2 - 1):
+    elif _integer(d2k, "d2k") < k * (n2 - 1):
         # k*(n2-1) is itself a zero-sum-free length in the rank-k group, so
         # anything smaller cannot be d of it
         raise ValueError(

@@ -42,14 +42,14 @@ shared by every root and worker; where it cuts a search depends on scheduling.
 import time
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent import futures
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iter_product
 from math import comb, prod
 
 from .bounds import table_row
 from .errors import BoundViolationError, BudgetExceededError, TooLargeError
-from .modring import WeightSet, units
+from .modring import WeightSet, _integer, units
 from .zsfree import ZSequence, _as_moduli, _element_images, _grid, _weight_entries
 
 # Bitset width cap; beyond this the search would not finish anyway.
@@ -83,8 +83,8 @@ class SearchBudget:
     parallel_width: int = 1
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.parallel_width < 1:
-            raise ValueError("max_nodes and parallel_width must be positive")
+        _integer(self.max_nodes, "max_nodes", 1)
+        _integer(self.parallel_width, "parallel_width", 1)
         if not self.max_seconds > 0:
             raise ValueError("max_seconds must be positive")
 
@@ -267,12 +267,15 @@ def _run_roots(space, space_args, action, count, budget, collect, length=None):
 def _run_pool(jobs, workers, deadline):
     """_run_branch over jobs on a pool of workers, in any order.  A job is
     submitted only when a worker is free and the deadline has not passed, so
-    a late root costs no round trip to the pool."""
+    a late root costs no round trip to the pool.  futures loads the pool,
+    and with it multiprocessing, on first lookup, so only a parallel search
+    pays for importing them."""
     results, running = [], set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for job in jobs:
             if len(running) == workers:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
+                done, running = futures.wait(
+                    running, return_when=futures.FIRST_COMPLETED)
                 results += [f.result() for f in done]
             if time.monotonic() > deadline:
                 break
@@ -486,9 +489,8 @@ def exact_davenport(n, weights, budget=None, collect_witnesses=True):
 
 def exact_davenport_k(n, weights, k, budget=None, collect_witnesses=True):
     """Exact weighted constant of the rank-k product of copies of Z_n."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k!r}")
-    return exact_davenport((n,) * k, weights, budget, collect_witnesses)
+    return exact_davenport((n,) * _integer(k, "k", 1), weights, budget,
+                           collect_witnesses)
 
 
 def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
@@ -526,8 +528,7 @@ def zero_sum_free_sequences(n, weights, length):
     default SearchBudget or the recursion limit raises BudgetExceededError
     before anything is yielded."""
     moduli = _checked_moduli(n)
-    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
-        raise ValueError(f"need a length >= 0, got {length!r}")
+    _integer(length, "length", 0)
     entries = _weight_entries(weights, moduli)
     if length == 0:
         yield ZSequence(moduli, ())

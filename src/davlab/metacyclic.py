@@ -31,7 +31,7 @@ from math import gcd
 
 from .davenport import SearchBudget, _run_roots, _unit_action
 from .errors import BudgetExceededError, WrongLengthError
-from .modring import units
+from .modring import _integer, units
 
 @dataclass(frozen=True, order=True)
 class MetaElem:
@@ -50,11 +50,7 @@ class GroupSpec:
     s: int
 
     def __init__(self, n, s):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-            raise ValueError(f"need an integer n >= 3, got {n!r}")
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ValueError(f"need an integer s, got {s!r}")
-        s %= n
+        s = _integer(s, "s") % _integer(n, "n", 3)
         if (s * s) % n != 1:
             raise ValueError(f"s={s} must square to 1 modulo {n}")
         object.__setattr__(self, "n", n)
@@ -69,7 +65,8 @@ class GroupSpec:
         return 2 * self.n
 
     def element(self, eps, a):
-        return MetaElem(eps & 1, a % self.n)
+        return MetaElem(_integer(eps, "eps") & 1,
+                        _integer(a, "exponent") % self.n)
 
     def all_elements(self):
         return [MetaElem(e, a) for e in (0, 1) for a in range(self.n)]
@@ -100,7 +97,7 @@ class GSequence:
                 eps, a = g.eps, g.a
             else:
                 eps, a = g
-            elems.append(MetaElem(eps & 1, a % spec.n))
+            elems.append(spec.element(eps, a))
         elems.sort()
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "elements", tuple(elems))
@@ -114,7 +111,7 @@ class GSequence:
 
 def claimed_extremal_sequence(spec, t, r):
     """n - 1 copies of y^t (t a unit) plus one reflection-type element."""
-    if gcd(t, spec.n) != 1:
+    if gcd(_integer(t, "t"), spec.n) != 1:
         raise ValueError(f"t={t} must be a unit modulo {spec.n}")
     elems = [(0, t)] * (spec.n - 1) + [(1, r)]
     return GSequence(spec, elems)
@@ -405,9 +402,7 @@ def classify_extremal(spec, length, budget=None):
     """All product-one-free sequences of the given length, split into the
     unit-power-plus-reflection family and everything else.  A truncated
     search raises BudgetExceededError with the ones found before the cut."""
-    if not isinstance(length, int) or isinstance(length, bool):
-        raise ValueError(f"need an integer length, got {length!r}")
-    if not 1 <= length <= 2 * spec.n - 1:
+    if not 1 <= _integer(length, "length") <= 2 * spec.n - 1:
         raise ValueError(f"length must lie in [1, {2 * spec.n - 1}], got {length}")
     _, chains, nodes, exhaustive = _search(spec, budget, length)
     cands = _candidates(spec.n)

@@ -1,7 +1,8 @@
 """Residue-ring utilities: units, involutions, weight sets, and CRT splits.
 
 Everything here is exact integer arithmetic.  A modulus is a plain int >= 2;
-elements of Z_n are ints in range(n).
+elements of Z_n are ints in range(n).  _integer is the package's one check
+of an integer argument, and _factor its one factorisation.
 """
 
 from dataclasses import dataclass
@@ -11,62 +12,55 @@ from math import gcd
 from .errors import InvalidSError, NoValidSplitError
 
 
-def _check_modulus(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
-    return n
+def _integer(value, name, least=None):
+    """value if it is an int, not a bool, and not below least (when given);
+    ValueError otherwise.  Every module checks its integer arguments here."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _factor(n):
+    """The prime factorisation of n >= 1 as ascending (p, e) pairs."""
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
 
 
 def divisors(n):
     """All positive divisors of n, ascending."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"need a positive integer, got {n!r}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in _factor(_integer(n, "n", 1)):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def units(n):
     """The multiplicative units of Z_n, ascending."""
-    _check_modulus(n)
+    _integer(n, "modulus", 2)
     return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
 def distinct_prime_factors(n):
     """Distinct primes dividing n, ascending."""
-    _check_modulus(n)
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
+    return [p for p, _ in _factor(_integer(n, "modulus", 2))]
 
 
 def is_squarefree(n):
     """True iff no prime square divides n."""
-    _check_modulus(n)
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-        p += 1
-    return True
+    return all(e == 1 for _, e in _factor(_integer(n, "modulus", 2)))
 
 
 def involutions(n):
@@ -74,7 +68,7 @@ def involutions(n):
 
     Returned ascending; empty when Z_n has only the trivial roots.
     """
-    _check_modulus(n)
+    _integer(n, "modulus", 2)
     return [s for s in range(2, n - 1) if (s * s) % n == 1]
 
 
@@ -86,8 +80,8 @@ class WeightSet:
     weights: tuple
 
     def __init__(self, n, weights):
-        _check_modulus(n)
-        reduced = sorted({w % n for w in weights})
+        _integer(n, "modulus", 2)
+        reduced = sorted({_integer(w, "weight") % n for w in weights})
         if not reduced:
             raise ValueError("weight set must be nonempty")
         if reduced[0] == 0:
@@ -107,9 +101,7 @@ class WeightSet:
 
 def quadratic_residue_weights(n):
     """The squares of units of Z_n as a WeightSet.  Requires n >= 3."""
-    _check_modulus(n)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _integer(n, "modulus", 3)
     return WeightSet(n, {(a * a) % n for a in units(n)})
 
 
@@ -126,8 +118,8 @@ class CrtSplit:
     n2: int
 
     def __post_init__(self):
-        _check_modulus(self.n)
-        n, s, n1, n2 = self.n, self.s, self.n1, self.n2
+        n, s, n1, n2 = (_integer(self.n, "modulus", 2), _integer(self.s, "s"),
+                        _integer(self.n1, "n1"), _integer(self.n2, "n2"))
         if (s * s) % n != 1 or s % n in (0, 1, n - 1):
             raise InvalidSError(f"s={s} is not a nontrivial involution mod {n}")
         if n1 * n2 != n or gcd(n1, n2) != 1:
@@ -156,8 +148,7 @@ def crt_split(n, s):
     Raises InvalidSError for a bad s and NoValidSplitError when no coprime
     factorization with both factors >= 3 matches the sign pattern of s.
     """
-    _check_modulus(n)
-    s %= n
+    s = _integer(s, "s") % _integer(n, "modulus", 2)
     if (s * s) % n != 1 or s in (0, 1, n - 1):
         raise InvalidSError(f"s={s} is not a nontrivial involution mod {n}")
     found = []
@@ -179,11 +170,11 @@ def crt_split(n, s):
 
 def psi(a, split):
     """Image of a in Z_{n1} x Z_{n2} under the CRT isomorphism."""
-    return a % split.n1, a % split.n2
+    return _integer(a, "element") % split.n1, a % split.n2
 
 
 def psi_inv(pair, split):
     """Preimage in Z_n of a pair (a1, a2) in Z_{n1} x Z_{n2}."""
     a1, a2 = pair
     e1, e2 = split._crt_coeffs
-    return (a1 * e1 + a2 * e2) % split.n
+    return (_integer(a1, "a1") * e1 + _integer(a2, "a2") * e2) % split.n

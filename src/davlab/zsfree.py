@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import TooLargeError
-from .modring import WeightSet
+from .modring import WeightSet, _integer
 
 # Hard cap on the literal enumeration oracle; (|A|+1)^|S| choices get folded
 # into two halves of at most (|A|+1)^8 sums each.
@@ -25,16 +25,10 @@ BRUTE_FORCE_CAP = 16
 
 
 def _as_moduli(moduli):
-    if isinstance(moduli, int) and not isinstance(moduli, bool):
-        moduli = (moduli,)
-    else:
-        moduli = tuple(moduli)
+    moduli = (moduli,) if isinstance(moduli, int) else tuple(moduli)
     if not moduli:
         raise ValueError("need at least one modulus")
-    for m in moduli:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise ValueError(f"moduli must be integers >= 2, got {m!r}")
-    return moduli
+    return tuple(_integer(m, "modulus", 2) for m in moduli)
 
 
 class _Grid:
@@ -141,13 +135,14 @@ class ZSequence:
                     if len(x) != 1:
                         raise ValueError(f"element {x!r} does not fit rank 1")
                     x = x[0]
-                elems.append(x % moduli[0])
+                elems.append(_integer(x, "element") % moduli[0])
             else:
                 if not isinstance(x, tuple) or len(x) != rank:
                     raise ValueError(
                         f"element {x!r} does not fit moduli {moduli}"
                     )
-                elems.append(tuple(v % m for v, m in zip(x, moduli)))
+                elems.append(
+                    tuple(_integer(v, "element") % m for v, m in zip(x, moduli)))
         elems.sort()
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "elements", tuple(elems))
@@ -182,9 +177,9 @@ def _as_entry(w, moduli):
     if isinstance(w, tuple):
         if len(w) != rank:
             raise ValueError(f"weight {w!r} does not fit moduli {moduli}")
-        vec = tuple(x % m for x, m in zip(w, moduli))
+        vec = tuple(_integer(x, "weight") % m for x, m in zip(w, moduli))
     else:
-        vec = tuple(w % m for m in moduli)
+        vec = tuple(_integer(w, "weight") % m for m in moduli)
     return vec[0] if rank == 1 else vec
 
 
@@ -350,16 +345,18 @@ class Certificate:
     weights: tuple
 
     def holds_for(self, S, weights=None):
+        moduli = S.moduli
+        try:
+            for i in self.indices:
+                _integer(i, "index", 1)
+            applied = [_as_entry(w, moduli) for w in self.weights]
+        except ValueError:
+            return False
         if not self.indices or len(self.indices) != len(self.weights):
             return False
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             return False
-        if self.indices[0] < 1 or self.indices[-1] > len(S.elements):
-            return False
-        moduli = S.moduli
-        try:
-            applied = [_as_entry(w, moduli) for w in self.weights]
-        except ValueError:
+        if self.indices[-1] > len(S.elements):
             return False
         if weights is not None:
             allowed = set(_weight_entries(weights, moduli))

@@ -97,6 +97,9 @@ def test_multidim_default_d2k():
         multidim_bounds(crt_split(12, 5), 2, 5)  # below k*(n2-1)
     with pytest.raises(ValueError):
         multidim_bounds(crt_split(12, 5), 0)
+    for k, d2k in ((1, 7.5), (1.0, None), (True, None)):
+        with pytest.raises(ValueError):
+            multidim_bounds(crt_split(12, 5), k, d2k)
 
 
 def test_multidim_k1_collapses_to_scalar_case():

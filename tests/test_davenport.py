@@ -53,6 +53,12 @@ def test_search_budget_validation():
         SearchBudget(max_seconds=0)
     with pytest.raises(ValueError):
         SearchBudget(parallel_width=0)
+    for bad in ({"parallel_width": 1.5}, {"parallel_width": True},
+                {"max_nodes": 2.5}, {"max_nodes": True}):
+        with pytest.raises(ValueError):
+            SearchBudget(**bad)
+    with pytest.raises(ValueError):
+        exact_davenport(12, {1.5})
 
 
 def test_known_instances():
@@ -253,7 +259,7 @@ def test_late_roots_are_not_dispatched(monkeypatch, width):
             raise AssertionError("a late root was sent to the pool")
 
     monkeypatch.setattr(davenport, "_run_branch", record)
-    monkeypatch.setattr(davenport, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(davenport.futures, "ProcessPoolExecutor", NoPool)
     with pytest.raises(BudgetExceededError) as err:
         exact_davenport(12, {1, 5}, SearchBudget(max_seconds=1e-9,
                                                  parallel_width=width))

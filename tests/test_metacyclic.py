@@ -137,6 +137,13 @@ def test_gsequence_storage():
     assert S.elements == (MetaElem(0, 1), MetaElem(0, 3), MetaElem(1, 2))
     assert len(S) == 3
     assert list(S)[0] == MetaElem(0, 1)
+    for bad in ((0, 1.5), (1.0, 2), (True, 2), MetaElem(0, 2.0)):
+        with pytest.raises(ValueError):
+            GSequence(spec, [(0, 1), bad])
+    with pytest.raises(ValueError):
+        claimed_extremal_sequence(spec, 1.0, 0)
+    with pytest.raises(ValueError):
+        claimed_extremal_sequence(spec, 1, 0.5)
 
 
 def test_claimed_form_predicates():
@@ -551,14 +558,15 @@ def test_small_davenport_budget_exhaustion():
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_small_davenport_wall_clock_budget(width):
-    # C_20 x| C_2 cannot be exhausted in 0.3 s; every root and worker stops
-    # at the same deadline, and the partial length stays at most n = 20
+    # C_30 x| C_2 takes seconds to exhaust, far more than 0.3 s; every root
+    # and worker stops at the same deadline, and the partial length stays at
+    # most n = 30
     budget = SearchBudget(max_seconds=0.3, parallel_width=width)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError) as err:
-        small_davenport(GroupSpec(20, 11), budget)
+        small_davenport(GroupSpec(30, 11), budget)
     assert time.monotonic() - start < 0.45
-    assert err.value.partial <= 20
+    assert err.value.partial <= 30
 
 
 def test_classification_determinism_across_width():

@@ -96,6 +96,11 @@ def test_crt_split_rejections():
         crt_split(12, 1)
     with pytest.raises(InvalidSError):
         crt_split(12, 11)
+    for n, s in ((12, 5.0), (12, True), (12.0, 5)):
+        with pytest.raises(ValueError):
+            crt_split(n, s)
+    with pytest.raises(ValueError):
+        CrtSplit(12, 5.0, 3, 4)
 
 
 def test_crt_split_postconditions():
@@ -182,6 +187,11 @@ def test_psi_inv_examples():
     assert psi_inv((1, 0), split) == 4
     assert psi_inv((0, 1), split) == 9
     assert psi_inv((0, 0), split) == 0
+    for pair in ((1.5, 0), (0, 1.0), (True, 0)):
+        with pytest.raises(ValueError):
+            psi_inv(pair, split)
+    with pytest.raises(ValueError):
+        psi(5.0, split)
 
 
 def test_psi_roundtrip():
@@ -226,3 +236,6 @@ def test_weightset_normalization():
         WeightSet(12, [12, 24])
     with pytest.raises(ValueError):
         WeightSet(12, [0])
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError):
+            WeightSet(12, [1, bad])

@@ -26,6 +26,12 @@ def test_zsequence_canonical_storage():
     assert S.n == 12
     assert len(S) == 4
     assert list(S) == [2, 3, 3, 11]
+    for moduli, bad in ((12, 1.5), (12, True), ((3, 4), (1, 1.5))):
+        with pytest.raises(ValueError):
+            ZSequence(moduli, [bad])
+    for weights in ([1.5], [True], [(0.5,)]):
+        with pytest.raises(ValueError):
+            has_weighted_zero_sum(ZSequence(12, [5]), weights)
 
 
 def test_zsequence_product_group():
@@ -269,6 +275,9 @@ def test_certificate_holds_for_rejects_malformed():
     assert not Certificate((1, 3), (1, 1)).holds_for(S)
     assert not Certificate((1, 2), (1,)).holds_for(S)
     assert not Certificate((1, 2), (1, 2)).holds_for(S, {1, 11})
+    assert not Certificate((1.0, 2), (1, 1)).holds_for(S)
+    assert not Certificate((1,), (2.4,)).holds_for(ZSequence(12, [5]))
+    assert not Certificate((1,), (True,)).holds_for(ZSequence(12, [0]))
     assert Certificate((1, 2), (1, 1)).holds_for(S)
 
 
