@@ -25,13 +25,13 @@ tested with one AND before fold(state, arg) builds the next state.  Here
 (_zero_sum_space) the probe holds the negated weighted images of a class;
 metacyclic's slot-sum space is the other instance.
 
-Both searches run one orbit at a time: _unit_action lifts a group of
-element maps (the unit scalings _unit_scaling here, the affine automorphisms
-of metacyclic._search there) to the candidates, and _run_roots seeds only
-the candidates that no group element maps to a lower index, then closes what
-the roots find under the same action.  For uniform moduli unit scaling
-permutes the classes (ordered by their smallest member) and so the
-zero-sum-free multisets.
+Both searches run one orbit of a symmetry group at a time.  The group is
+given by generators, permutations of the candidate indices built once per
+search (the unit scalings _scalings here, metacyclic._action there).  _orbit
+searches an orbit breadth-first over them; _run_roots seeds the least
+candidate of each orbit and closes what the roots find.  For uniform moduli
+unit scaling permutes the classes (ordered by their smallest member) and so
+the zero-sum-free multisets.
 
 Node budgets are enforced per root branch with a fresh memo each, so
 node-limited truncation yields identical results at any parallel width.  The
@@ -85,8 +85,11 @@ class SearchBudget:
     def __post_init__(self):
         _integer(self.max_nodes, "max_nodes", 1)
         _integer(self.parallel_width, "parallel_width", 1)
-        if not self.max_seconds > 0:
-            raise ValueError("max_seconds must be positive")
+        seconds = self.max_seconds
+        if (not isinstance(seconds, (int, float)) or isinstance(seconds, bool)
+                or not seconds > 0):
+            raise ValueError(
+                f"max_seconds must be a positive number, got {seconds!r}")
 
 
 class _Witnesses(Sequence):
@@ -182,64 +185,63 @@ def _prepare_candidates(moduli, entries):
     return [(form, tuple(members)) for form, members in by_probe.values()]
 
 
-def _unit_scaling(moduli):
-    """Scaling by a unit u of Z_n on group elements: u*x mod n on Z_n, each
-    coordinate on a product of copies of Z_n.  None for mixed moduli, where
-    no unit scaling is defined."""
-    if len(set(moduli)) != 1:
-        return None
+def _generators(n):
+    """A generating set of the units of Z_n, n >= 2: each unit in turn
+    joins when the earlier ones do not generate it."""
+    gens, group = [], {(1,)}
+    for u in units(n):
+        if (u,) not in group:
+            gens.append(u)
+            group = _orbit([[g * x % n for x in range(n)] for g in gens], (1,))
+    return gens
+
+
+def _scalings(moduli, members):
+    """The scalings of (n,) * k by _generators(n) as permutations of the
+    candidate classes members, which scaling permutes as it commutes with
+    scalar weights.  Mixed moduli have none."""
     n = moduli[0]
-    if len(moduli) == 1:
-        return lambda u, x: u * x % n
-    return lambda u, x: tuple(u * c % n for c in x)
-
-
-def _unit_action(group, members, scale):
-    """A group of element maps acting on candidates: (group, act), act(g, i)
-    the index of the candidate holding scale(g, x) for the members x of i.
-    The group is the units of Z_n scaling elements here, and the affine maps
-    of the slot-sum candidates in metacyclic.
-
-    scale(g, .) must permute the candidates; None gives ((1,), identity).
-    act is lazy because the root test stops at the first element that lowers
-    a candidate, mostly within a few: a table over the whole group and every
-    candidate costs more than the search it seeds at large n.
-    """
-    if scale is None:
-        return (1,), lambda g, i: i
+    if len(set(moduli)) != 1:
+        return []
     index_of = {x: i for i, xs in enumerate(members) for x in xs}
-    reps = [xs[0] for xs in members]
-
-    def act(g, i):
-        return index_of[scale(g, reps[i])]
-
-    return group, act
+    if len(moduli) == 1:
+        return [[index_of[u * xs[0] % n] for xs in members] for u in _generators(n)]
+    return [[index_of[tuple(u * c % n for c in xs[0])] for xs in members]
+            for u in _generators(n)]
 
 
-def _orbit(action, items):
-    """The images of a multiset under every element of the action (group,
-    act), each as a sorted tuple: chains of candidates under the candidate
-    action, or sequences of elements under the unit scaling."""
-    group, act = action
-    return {tuple(sorted(act(g, i) for i in items)) for g in group}
+def _orbit(gens, items):
+    """Every image of the sorted index tuple items under the group that the
+    permutations gens generate, each sorted: a breadth-first search over
+    the generators (Butler, LNCS 559, 1991), costing |orbit| * |gens|."""
+    orbit, queue = {items}, [items]
+    for t in queue:
+        images = {tuple(sorted(g[i] for i in t)) for g in gens} - orbit
+        orbit |= images
+        queue += images
+    return orbit
 
 
-def _run_roots(space, space_args, action, count, budget, collect, length=None):
+def _run_roots(space, space_args, gens, count, budget, collect, length=None):
     """_run_branch from every root, in order, serially or on a process pool:
     (longest length, chains, nodes, exhaustive).  With length None only the
     roots reaching the longest length give chains; with a length set, the
     longest length only tells whether a root reaches it.  The roots are the
-    count candidates that no element of the action (group, act) maps lower;
-    each orbit holds a chain starting at one, so the chains are returned
-    closed under the action, and sorted.  The closure maps one found chain
-    per orbit: chains are nondecreasing tuples, the same as their sorted
-    images, so a chain already in the closed set has its whole orbit there.
-    Every root and forked worker reads one deadline off the system-wide
-    monotonic clock, fixed before the roots are chosen, and no root is
-    dispatched once it has passed: the search then ends as a truncation."""
+    least of each orbit of the group that the permutations gens of the count
+    candidates generate; each orbit holds a chain starting at one, so the
+    chains are returned closed under the group, and sorted.  The closure
+    searches one found chain's orbit per orbit: chains are nondecreasing
+    tuples, the same as their sorted images, so a chain already in the
+    closed set has its whole orbit there.  Every root and forked worker
+    reads one deadline off the system-wide monotonic clock, fixed before the
+    roots are chosen, and no root is dispatched once it has passed: the
+    search then ends as a truncation."""
     deadline = time.monotonic() + budget.max_seconds
-    group, act = action
-    roots = [i for i in range(count) if all(act(g, i) >= i for g in group)]
+    roots, seen = [], set()
+    for i in range(count):
+        if (i,) not in seen:
+            roots.append(i)
+            seen |= _orbit(gens, (i,))
     jobs = [
         (space, space_args, root, budget.max_nodes, collect, length, deadline)
         for root in roots
@@ -259,7 +261,7 @@ def _run_roots(space, space_args, action, count, budget, collect, length=None):
             continue
         for chain in r[1]:
             if chain not in closed:
-                closed |= _orbit(action, chain)
+                closed |= _orbit(gens, chain)
     exhaustive = len(results) == len(jobs) and all(r[3] for r in results)
     return best, sorted(closed), sum(r[2] for r in results), exhaustive
 
@@ -439,10 +441,9 @@ def _run_branch(args):
 def _search(moduli, entries, budget, collect, length=None):
     # never empty: the all-ones element has the weights, none zero, as images
     forms, members = zip(*_prepare_candidates(moduli, entries))
-    action = _unit_action(units(moduli[0]), members, _unit_scaling(moduli))
     max_len, cores, nodes, exhaustive = _run_roots(
-        _zero_sum_space, (moduli, forms), action, len(forms), budget, collect,
-        length)
+        _zero_sum_space, (moduli, forms), _scalings(moduli, members),
+        len(forms), budget, collect, length)
     witnesses = None
     if collect and exhaustive:
         witnesses = _Witnesses(moduli, members, cores)
@@ -498,26 +499,27 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
     ExactResult.witnesses.
 
     With orbit_reduced, a tuple of one sequence per orbit of the unit
-    scalings instead: the least image of each orbit, sorted.  It works on
-    the class-level cores and expands one core per orbit of the units acting
-    on cores.  That suffices because a unit u maps the expansions of core c
-    one-to-one onto those of u*c.  Mixed moduli have no unit scaling and
-    get the full list.
+    scalings instead: the least image under every unit, sorted.  It expands
+    one class-level core per orbit of _scalings on cores, as a unit u maps
+    the expansions of core c one-to-one onto those of u*c.  Mixed moduli
+    have no unit scaling and get the full list.
     """
     res = exact_davenport(n, weights, budget, collect_witnesses=True)
     found = res.witnesses
     moduli = _as_moduli(n)
-    scale = _unit_scaling(moduli)
-    if not orbit_reduced or scale is None:
+    if not orbit_reduced or len(set(moduli)) != 1:
         return found
-    action = _unit_action(units(moduli[0]), found._members, scale)
-    scaling = (action[0], scale)
+    gens = _scalings(moduli, found._members)
+    n, us = moduli[0], units(moduli[0])
     seen, reps = set(), set()
     for core in found._cores:
         if core in seen:
             continue
-        seen |= _orbit(action, core)
-        reps.update(min(_orbit(scaling, e)) for e in found._expand(core))
+        seen |= _orbit(gens, core)
+        for e in found._expand(core):
+            images = (sorted(u * x % n for x in e) if len(moduli) == 1 else
+                      sorted(tuple(u * c % n for c in x) for x in e) for u in us)
+            reps.add(tuple(min(images)))
     return tuple(ZSequence._of(moduli, e) for e in sorted(reps))
 
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .davenport import SearchBudget, _run_roots, _unit_action
+from .davenport import SearchBudget, _generators, _run_roots
 from .errors import BudgetExceededError, WrongLengthError
-from .modring import _integer, units
+from .modring import _integer
 
 @dataclass(frozen=True, order=True)
 class MetaElem:
@@ -140,11 +140,16 @@ class OrderedCertificate:
     order: tuple
 
     def holds_for(self, S):
+        try:
+            for p in (*self.positions, *self.order):
+                _integer(p, "position", 1)
+        except ValueError:
+            return False
         if not self.order or tuple(sorted(self.order)) != self.positions:
             return False
         if len(set(self.positions)) != len(self.positions):
             return False
-        if self.positions[0] < 1 or self.positions[-1] > len(S.elements):
+        if self.positions[-1] > len(S.elements):
             return False
         acc = IDENTITY
         for p in self.order:
@@ -355,14 +360,13 @@ def _slot_space(n, s):
 
 
 def _action(n, s):
-    """The automorphisms x^eps y^a -> x^eps y^(u*a + eps*c), u a unit and c a
-    multiple of _translation_step, acting on _candidates: y -> y^u with
-    x -> x y^c."""
-    members = [(g,) for g in _candidates(n)]
-    group = [(u, c) for c in range(0, n, _translation_step(n, s))
-             for u in units(n)]
-    return _unit_action(group, members,
-                        lambda g, e: (e[0], (g[0] * e[1] + e[0] * g[1]) % n))
+    """Generators of the automorphisms (eps, a) -> (eps, u*a + eps*c), u a
+    unit and c a multiple of step = _translation_step, as permutations of
+    _candidates: (u, 0) for u in _generators(n), and (1, step), which
+    generate every (u, c) as (u, 0) after (1, c) is (u, u*c)."""
+    maps = [(u, 0) for u in _generators(n)] + [(1, _translation_step(n, s))]
+    return [[(u * a + eps * c) % n - 1 + eps * n for eps, a in _candidates(n)]
+            for u, c in maps]
 
 
 _REDUCTION_NOTE = (
@@ -376,11 +380,11 @@ _REDUCTION_NOTE = (
 def _search(spec, budget, length=None):
     """davenport._run_roots over _candidates, one orbit of the automorphisms
     (eps, a) -> (eps, u*a + eps*c) at a time, u a unit and c(1 + s) = 0
-    (mod n): y -> y^u together with x -> x y^c.  The roots are y^d for
-    d | n, d < n, and the x y^b with b least in its orbit, so b is below
-    _translation_step(n, s); past a plain root, _slot_space's probe lets
-    only such a b start the reflections.  The chains of `length`, listed
-    when it is set, come back closed under the same maps."""
+    (mod n), generated by _action.  The roots are y^d for d | n, d < n, and
+    the x y^b with b least in its orbit, so b is below _translation_step(n,
+    s); past a plain root, _slot_space's probe lets only such a b start the
+    reflections.  The chains of `length`, listed when it is set, come back
+    closed under the same maps."""
     n = spec.n
     return _run_roots(_slot_space, (n, spec.s), _action(n, spec.s),
                       2 * n - 1, budget or SearchBudget(), length is not None,

@@ -8,6 +8,7 @@ something.
 from itertools import combinations, permutations, product
 
 from davlab.metacyclic import IDENTITY, mul
+from davlab.modring import units
 from davlab.zsfree import (
     Certificate,
     ZSequence,
@@ -83,3 +84,9 @@ def product_one_oracle(S):
                 if acc == IDENTITY:
                     return True
     return False
+
+
+def automorphisms(n, s):
+    """The pairs (u, c) of x^eps y^a -> x^eps y^(u*a + eps*c) on C_n : C_2,
+    u a unit and c(1 + s) = 0 (mod n), found by scanning every c."""
+    return [(u, c) for u in units(n) for c in range(n) if c * (1 + s) % n == 0]

@@ -13,9 +13,9 @@ from davlab.davenport import (
     SearchBudget,
     _prepare_candidates,
     _run_branch,
+    _generators,
     _run_roots,
-    _unit_action,
-    _unit_scaling,
+    _scalings,
     _zero_sum_space,
     enumerate_extremal,
     exact_davenport,
@@ -42,7 +42,7 @@ from davlab.zsfree import (
     has_weighted_zero_sum,
     reachable_sums,
 )
-from _oracles import max_zsf_length_bruteforce
+from _oracles import automorphisms, max_zsf_length_bruteforce
 
 
 def test_search_budget_validation():
@@ -54,9 +54,14 @@ def test_search_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(parallel_width=0)
     for bad in ({"parallel_width": 1.5}, {"parallel_width": True},
-                {"max_nodes": 2.5}, {"max_nodes": True}):
+                {"max_nodes": 2.5}, {"max_nodes": True},
+                {"max_seconds": "1"}, {"max_seconds": True},
+                {"max_seconds": None}, {"max_seconds": float("nan")},
+                {"max_seconds": -0.5}):
         with pytest.raises(ValueError):
             SearchBudget(**bad)
+    assert SearchBudget(max_seconds=2).max_seconds == 2
+    assert SearchBudget(max_seconds=0.25).max_seconds == 0.25
     with pytest.raises(ValueError):
         exact_davenport(12, {1.5})
 
@@ -191,10 +196,12 @@ def test_trusted_constructor_builds_checked_sequences():
             assert w == checked and hash(w) == hash(checked)
 
 
-def _recorded_closure(monkeypatch, space, space_args, action, count, length):
+def _recorded_closure(monkeypatch, space, space_args, gens, count, length,
+                      group):
     # _run_roots' closed chains, the naive closure of every chain the roots
-    # found under every element of the action, and how many chains and
-    # orbits were found
+    # found under every element of group (each a list of the candidates'
+    # images, built by the caller without the code under test), and how
+    # many chains and orbits were found
     found = []
 
     def record(args):
@@ -204,12 +211,11 @@ def _recorded_closure(monkeypatch, space, space_args, action, count, length):
 
     monkeypatch.setattr(davenport, "_run_branch", record)
     best, closed, _, exhaustive = _run_roots(
-        space, space_args, action, count, SearchBudget(), True, length)
+        space, space_args, gens, count, SearchBudget(), True, length)
     assert exhaustive
-    group, act = action
     chains = [chain for r in found if length is not None or r[0] == best
               for chain in r[1]]
-    orbits = [{tuple(sorted(act(u, i) for i in chain)) for u in group}
+    orbits = [{tuple(sorted(g[i] for i in chain)) for g in group}
               for chain in chains]
     naive = sorted(set().union(*orbits))
     return closed, naive, len(chains), len({min(o) for o in orbits})
@@ -219,9 +225,11 @@ def _recorded_closure(monkeypatch, space, space_args, action, count, length):
 def test_orbit_closure_matches_naive_zero_sum(monkeypatch, n, s):
     moduli = (n,)
     forms, members = zip(*_prepare_candidates(moduli, _weight_entries({1, s}, moduli)))
-    action = _unit_action(units(n), members, _unit_scaling(moduli))
+    index_of = {x: i for i, xs in enumerate(members) for x in xs}
+    group = [[index_of[u * xs[0] % n] for xs in members] for u in units(n)]
     closed, naive, chains, orbits = _recorded_closure(
-        monkeypatch, _zero_sum_space, (moduli, forms), action, len(forms), None)
+        monkeypatch, _zero_sum_space, (moduli, forms),
+        _scalings(moduli, members), len(forms), None, group)
     assert closed == naive
     # some orbit holds several found chains, so the skip is exercised
     assert chains > orbits
@@ -229,10 +237,65 @@ def test_orbit_closure_matches_naive_zero_sum(monkeypatch, n, s):
 
 @pytest.mark.parametrize("n, s", [(12, 5), (16, 7)])
 def test_orbit_closure_matches_naive_slot_space(monkeypatch, n, s):
+    cands = metacyclic._candidates(n)
+    index = {g: i for i, g in enumerate(cands)}
+    group = [[index[(eps, (u * a + eps * c) % n)] for eps, a in cands]
+             for u, c in automorphisms(n, s)]
     closed, naive, _, _ = _recorded_closure(
         monkeypatch, metacyclic._slot_space, (n, s), metacyclic._action(n, s),
-        2 * n - 1, n)
+        2 * n - 1, n, group)
     assert closed == naive
+
+
+def test_unit_generators_generate_the_units():
+    # the closure of the generators is the whole unit group, phi(n) of
+    # them, and no generator lies in the subgroup the earlier ones generate
+    def closure(gens, n):
+        group = {1}
+        while True:
+            grown = group | {g * x % n for g in gens for x in group}
+            if grown == group:
+                return group
+            group = grown
+
+    for n in range(2, 301):
+        gens = _generators(n)
+        assert closure(gens, n) == set(units(n)), n
+        for k, u in enumerate(gens):
+            assert u not in closure(gens[:k], n), (n, u)
+
+
+def test_zero_sum_roots_are_least_under_every_unit(monkeypatch):
+    # the roots are the classes least in their orbit under every unit, found
+    # here by brute force, for {1}, every {1, s} with n <= 40 and two
+    # uniform products
+    roots = []
+
+    def record(args):
+        roots.append(args[2])
+        return 0, (), 0, True
+
+    monkeypatch.setattr(davenport, "_run_branch", record)
+    cases = [(n, A) for n in range(2, 41)
+             for A in [{1}] + [{1, s} for s in involutions(n)]]
+    cases += [((3, 3), {1}), ((3, 3), {1, 2}), ((4, 4), {1}), ((4, 4), {1, 3})]
+    for n, A in cases:
+        moduli = _as_moduli(n)
+        base = moduli[0]
+        members = [xs for _, xs in
+                   _prepare_candidates(moduli, _weight_entries(A, moduli))]
+        index_of = {x: i for i, xs in enumerate(members) for x in xs}
+
+        def scaled(u, x):
+            if isinstance(x, tuple):
+                return tuple(u * c % base for c in x)
+            return u * x % base
+
+        want = [i for i, xs in enumerate(members)
+                if all(index_of[scaled(u, xs[0])] >= i for u in units(base))]
+        roots.clear()
+        exact_davenport(n, A, collect_witnesses=False)
+        assert roots == want, (n, A)
 
 
 @pytest.mark.parametrize("width", [1, 2])

@@ -31,7 +31,7 @@ from davlab.metacyclic import (
 from davlab.davenport import SearchBudget
 from davlab.modring import crt_split, involutions, units
 from davlab.zsfree import ZSequence, has_weighted_zero_sum
-from _oracles import product_one_oracle
+from _oracles import automorphisms, product_one_oracle
 
 
 def some_specs(n_max):
@@ -278,6 +278,11 @@ def test_ordered_certificate_rejects_malformed():
     assert not OrderedCertificate((), ()).holds_for(S)
     assert not OrderedCertificate((1, 2), (1, 1)).holds_for(S)
     assert not OrderedCertificate((1, 3), (3, 1)).holds_for(S)
+    assert not OrderedCertificate((0, 1), (1, 0)).holds_for(S)
+    # positions must be ints: a float or bool equal to one is malformed
+    assert not OrderedCertificate((1.0, 2), (1.0, 2)).holds_for(S)
+    assert not OrderedCertificate((1, 2), (2.0, 1)).holds_for(S)
+    assert not OrderedCertificate((True, 2), (2, True)).holds_for(S)
 
 
 def test_paired_reflections_force_product_one():
@@ -347,12 +352,6 @@ def test_semidirect_classification():
         assert longer.claimed == () and longer.other == ()
 
 
-def _automorphisms(n, s):
-    # the pairs (u, c) of x^eps y^a -> x^eps y^(u*a + eps*c), u a unit and
-    # c(1 + s) = 0 (mod n), found by scanning every c
-    return [(u, c) for u in units(n) for c in range(n) if c * (1 + s) % n == 0]
-
-
 def _apply(g, spec, u, c):
     return MetaElem(g.eps, (u * g.a + g.eps * c) % spec.n)
 
@@ -377,7 +376,7 @@ def test_unit_action_roots_are_the_divisor_powers(monkeypatch):
         for s in range(n):
             if s * s % n != 1:
                 continue
-            maps = _automorphisms(n, s)
+            maps = automorphisms(n, s)
             want = [i for i, (eps, a) in enumerate(cands)
                     if all(index[(eps, (u * a + eps * c) % n)] >= i
                            for u, c in maps)]
@@ -400,7 +399,7 @@ def test_automorphisms_preserve_products_and_classifications():
             found = classify_extremal(spec, n)
             listed = {S.elements for S in found.claimed + found.other}
             assert listed
-            for u, c in _automorphisms(n, s):
+            for u, c in automorphisms(n, s):
                 assert all(
                     _apply(mul(g, h, spec), spec, u, c)
                     == mul(_apply(g, spec, u, c), _apply(h, spec, u, c), spec)
@@ -567,6 +566,16 @@ def test_small_davenport_wall_clock_budget(width):
         small_davenport(GroupSpec(30, 11), budget)
     assert time.monotonic() - start < 0.45
     assert err.value.partial <= 30
+
+
+def test_root_choice_scales_with_the_generators():
+    # choosing the roots of C_2000 x| C_2 costs about (2n - 1) times the
+    # few generators of its automorphisms, not n * phi(n) maps per
+    # candidate: with one node per root the search ends in well under 2 s
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        small_davenport(GroupSpec.dihedral(2000), SearchBudget(max_nodes=1))
+    assert time.monotonic() - start < 2
 
 
 def test_classification_determinism_across_width():
