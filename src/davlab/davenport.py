@@ -3,10 +3,16 @@
 Zero-sum-free multisets are enumerated as nondecreasing sequences of
 candidate classes; elements sharing the same weighted-image set fold
 identically, so only the class matters.  Appending any element to a
-zero-sum-free sequence strictly enlarges its reachable-sum bitset (otherwise
-some multiple of an image would chain down to zero), which caps the depth at
-|G| - 1 and gives an admissible capacity prune.  Search states (bitset,
-lowest admissible class) are memoized.
+zero-sum-free sequence strictly enlarges its reachable-sum set R (otherwise
+some multiple of an image would chain down to zero).  When the weight set A
+has an involution h, an entry other than the identity with h*h = 1 on every
+coordinate and h*A = A, R is h-invariant: h * sum(e_i x_i) = sum((h e_i)
+x_i) with every h e_i in A.  So what an append adds to R is a nonempty union
+of orbits of h, and 0, never in R, is an orbit of its own: every append
+reaches at least one more orbit of nonzero elements, and the unreachable
+ones bound the appends still possible, an admissible capacity prune (without
+an involution the orbits are single elements, a bound of |G| - 1).  Search
+states (bitset, lowest admissible class) are memoized.
 
 The search below a state is fail-soft, as in alpha-beta search: it is handed
 a threshold, the length its caller must see exceeded for the state to matter
@@ -234,8 +240,9 @@ def _run_roots(space, space_args, gens, count, budget, collect, length=None):
     tuples, the same as their sorted images, so a chain already in the
     closed set has its whole orbit there.  Every root and forked worker
     reads one deadline off the system-wide monotonic clock, fixed before the
-    roots are chosen, and no root is dispatched once it has passed: the
-    search then ends as a truncation."""
+    roots are chosen.  No root is dispatched and no orbit closed once it has
+    passed: the search then ends as a truncation, with the orbits closed so
+    far."""
     deadline = time.monotonic() + budget.max_seconds
     roots, seen = [], set()
     for i in range(count):
@@ -255,14 +262,15 @@ def _run_roots(space, space_args, gens, count, budget, collect, length=None):
     else:
         results = _run_pool(jobs, min(budget.parallel_width, len(jobs)), deadline)
     best = max((r[0] for r in results), default=0)
-    closed = set()
-    for r in results:
-        if length is None and r[0] < best:
-            continue
-        for chain in r[1]:
-            if chain not in closed:
-                closed |= _orbit(gens, chain)
     exhaustive = len(results) == len(jobs) and all(r[3] for r in results)
+    closed = set()
+    for chain in (c for r in results if length is not None or r[0] == best
+                  for c in r[1]):
+        if chain not in closed:
+            if time.monotonic() > deadline:
+                exhaustive = False
+                break
+            closed |= _orbit(gens, chain)
     return best, sorted(closed), sum(r[2] for r in results), exhaustive
 
 
@@ -286,11 +294,33 @@ def _run_pool(jobs, workers, deadline):
     return results
 
 
-def _zero_sum_space(moduli, forms):
-    """Reachable-sum bitsets: a zero sum blocks, |G| - 1 nonzero sums cap.
-    forms are the classes' (probe, shift forms) pairs."""
+def _orbit_reps(moduli, entries):
+    """The capacity mask of the zero-sum space: one bit per orbit of the
+    nonzero codes under the involution h of the weight entries A, the first
+    entry other than the identity with h*h = 1 on every coordinate and h*A
+    = A, the bit of the orbit's least code.  Without such an h every orbit
+    is one code, and every nonzero code has its bit."""
     grid = _grid(moduli)
-    return grid.fold, forms, grid.size - 1
+    vecs = [(a,) for a in entries] if grid.rank == 1 else list(entries)
+
+    def times(u, x):
+        return tuple(a * b % m for a, b, m in zip(u, x, moduli))
+
+    one = (1,) * grid.rank
+    h = next((u for u in vecs if u != one and times(u, u) == one
+              and {times(u, a) for a in vecs} == set(vecs)), None)
+    if h is None:
+        return grid.mask - 1
+    reps = {min(c, grid.encode(times(h, grid.decode(c))))
+            for c in range(1, grid.size)}
+    return sum(1 << c for c in reps)
+
+
+def _zero_sum_space(moduli, forms, rep):
+    """Reachable-sum bitsets: a zero sum blocks, and the orbits of nonzero
+    sums that rep (_orbit_reps) marks cap.  forms are the classes' (probe,
+    shift forms) pairs."""
+    return _grid(moduli).fold, forms, rep.bit_count(), rep
 
 
 def _run_branch(args):
@@ -298,13 +328,15 @@ def _run_branch(args):
 
     A root that starts past the deadline returns at once, before it builds
     its search space, as a truncation with 0 nodes.  Otherwise
-    space(*space_args) gives (fold, forms, cap_base).  A state is an int,
-    0 for the empty sequence, and forms[i] is candidate i's pair (probe,
-    arg): probe is the set of state bits that forbid appending it, and
-    fold(state, arg) is the state after the append, called only when state &
-    probe is 0, so a blocked candidate costs one AND.  cap_base minus a
-    state's popcount must bound how many appends can still follow.  Chains
-    are nondecreasing candidate indices from root.
+    space(*space_args) gives (fold, forms, cap_base, rep).  A state is an
+    int, 0 for the empty sequence, and forms[i] is candidate i's pair
+    (probe, arg): probe is the set of state bits that forbid appending it,
+    and fold(state, arg) is the state after the append, called only when
+    state & probe is 0, so a blocked candidate costs one AND.  cap_base
+    minus the popcount of state & rep must bound how many appends can still
+    follow: rep is -1 when every append adds a state bit, and a mask of one
+    bit per orbit when every state is a union of orbits and every append
+    adds an orbit.  Chains are nondecreasing candidate indices from root.
 
     Phase one, max_ext(R, last, depth, beat), bounds the longest extension
     of a (state, lowest candidate) pair.  It returns v: if v > beat, v is
@@ -349,7 +381,7 @@ def _run_branch(args):
     space, space_args, root, max_nodes, collect, length, deadline = args
     if time.monotonic() > deadline:
         return 0, (), 0, False
-    fold, forms, cap_base = space(*space_args)
+    fold, forms, cap_base, rep = space(*space_args)
     n_forms = len(forms)
     # no sequence is longer than cap_base, so without a length no loop stops
     goal = cap_base + 1 if length is None else length
@@ -389,7 +421,7 @@ def _run_branch(args):
             if R & probe:
                 continue
             Rp = fold(R, arg)
-            cap = 1 + (cap_base - Rp.bit_count())
+            cap = 1 + (cap_base - (Rp & rep).bit_count())
             if cap <= floor:
                 if cap > best:
                     best = cap
@@ -415,7 +447,7 @@ def _run_branch(args):
             if R & probe:
                 continue
             Rp = fold(R, arg)
-            if 1 + (cap_base - Rp.bit_count()) < remaining:
+            if 1 + (cap_base - (Rp & rep).bit_count()) < remaining:
                 continue
             if 1 + max_ext(Rp, i, len(prefix) + 1, remaining - 2) >= remaining:
                 prefix.append(i)
@@ -442,8 +474,8 @@ def _search(moduli, entries, budget, collect, length=None):
     # never empty: the all-ones element has the weights, none zero, as images
     forms, members = zip(*_prepare_candidates(moduli, entries))
     max_len, cores, nodes, exhaustive = _run_roots(
-        _zero_sum_space, (moduli, forms), _scalings(moduli, members),
-        len(forms), budget, collect, length)
+        _zero_sum_space, (moduli, forms, _orbit_reps(moduli, entries)),
+        _scalings(moduli, members), len(forms), budget, collect, length)
     witnesses = None
     if collect and exhaustive:
         witnesses = _Witnesses(moduli, members, cores)

@@ -356,7 +356,7 @@ def _slot_space(n, s):
         eps, v = arg
         return append(state & drop_kind0 if eps else state, state | empty, eps, v)
 
-    return fold, forms, n * (4 * n + 1)
+    return fold, forms, n * (4 * n + 1), -1
 
 
 def _action(n, s):

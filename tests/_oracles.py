@@ -90,3 +90,28 @@ def automorphisms(n, s):
     """The pairs (u, c) of x^eps y^a -> x^eps y^(u*a + eps*c) on C_n : C_2,
     u a unit and c(1 + s) = 0 (mod n), found by scanning every c."""
     return [(u, c) for u in units(n) for c in range(n) if c * (1 + s) % n == 0]
+
+
+def weighted_sums(moduli, weights, elements, sums=frozenset()):
+    """sums together with every weighted sum that a nonempty subsequence of
+    elements adds to it, over Z_m1 x ... x Z_mk, as a set of coordinate
+    tuples; weights and elements are coordinate tuples.  Each element in
+    turn adds itself, times each weight, to the empty sum and to every sum
+    so far."""
+    zero = (0,) * len(moduli)
+    sums = set(sums)
+    for x in elements:
+        sums |= {tuple((r + a * c) % m for r, a, c, m in zip(base, w, x, moduli))
+                 for base in sums | {zero} for w in weights}
+    return sums
+
+
+def unreachable_orbits(moduli, sums, h):
+    """How many orbits {y, h*y} of nonzero elements miss sums, found by
+    scanning every element; h None makes every orbit one element."""
+    orbits = set()
+    for y in product(*map(range, moduli)):
+        if any(y) and y not in sums:
+            hy = y if h is None else tuple(a * c % m for a, c, m in zip(h, y, moduli))
+            orbits.add(frozenset((y, hy)))
+    return len(orbits)

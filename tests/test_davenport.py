@@ -14,6 +14,7 @@ from davlab.davenport import (
     _prepare_candidates,
     _run_branch,
     _generators,
+    _orbit_reps,
     _run_roots,
     _scalings,
     _zero_sum_space,
@@ -26,10 +27,12 @@ from davlab.davenport import (
 from davlab.errors import (
     BoundViolationError,
     BudgetExceededError,
+    NoValidSplitError,
     TooLargeError,
 )
 from davlab.modring import (
     WeightSet,
+    crt_split,
     involutions,
     quadratic_residue_weights,
     units,
@@ -37,12 +40,18 @@ from davlab.modring import (
 from davlab.zsfree import (
     ZSequence,
     _as_moduli,
+    _grid,
     _weight_entries,
     brute_force_oracle,
     has_weighted_zero_sum,
     reachable_sums,
 )
-from _oracles import automorphisms, max_zsf_length_bruteforce
+from _oracles import (
+    automorphisms,
+    max_zsf_length_bruteforce,
+    unreachable_orbits,
+    weighted_sums,
+)
 
 
 def test_search_budget_validation():
@@ -224,11 +233,13 @@ def _recorded_closure(monkeypatch, space, space_args, gens, count, length,
 @pytest.mark.parametrize("n, s", [(12, 5), (24, 17), (20, 19)])
 def test_orbit_closure_matches_naive_zero_sum(monkeypatch, n, s):
     moduli = (n,)
-    forms, members = zip(*_prepare_candidates(moduli, _weight_entries({1, s}, moduli)))
+    entries = _weight_entries({1, s}, moduli)
+    forms, members = zip(*_prepare_candidates(moduli, entries))
     index_of = {x: i for i, xs in enumerate(members) for x in xs}
     group = [[index_of[u * xs[0] % n] for xs in members] for u in units(n)]
     closed, naive, chains, orbits = _recorded_closure(
-        monkeypatch, _zero_sum_space, (moduli, forms),
+        monkeypatch, _zero_sum_space,
+        (moduli, forms, _orbit_reps(moduli, entries)),
         _scalings(moduli, members), len(forms), None, group)
     assert closed == naive
     # some orbit holds several found chains, so the skip is exercised
@@ -298,6 +309,46 @@ def test_zero_sum_roots_are_least_under_every_unit(monkeypatch):
         assert roots == want, (n, A)
 
 
+# (moduli, weights as coordinate tuples, the involution h or None)
+_ORBIT_CASES = (
+    [((n,), ((1,), (s,)), (s,)) for n in range(3, 31) for s in involutions(n)]
+    + [((n,), ((1,), (n - 1,)), (n - 1,)) for n in (3, 8, 12, 17, 30)]
+    + [((15,), ((1,), (4,)), (4,)), ((30,), ((1,), (19,)), (19,)),
+       ((6, 6), ((1, 1), (5, 5)), (5, 5)), ((2, 4), ((1, 1), (1, 3)), (1, 3)),
+       ((12,), ((1,),), None)]
+)
+
+
+@pytest.mark.parametrize("moduli, weights, h", _ORBIT_CASES)
+def test_orbit_capacity_against_naive_sums(moduli, weights, h):
+    # along random zero-sum-free chains, the reachable sums R are their own
+    # h-image, each unblocked append reaches at least one more orbit {y,
+    # h*y}, and the capacity the engine reads off a state is the number of
+    # nonzero orbits R misses, all counted outright
+    entries = _weight_entries(weights, moduli)
+    forms, _ = zip(*_prepare_candidates(moduli, entries))
+    _, _, cap_base, rep = _zero_sum_space(
+        moduli, forms, _orbit_reps(moduli, entries))
+    grid = _grid(moduli)
+    nonzero = [y for y in product(*map(range, moduli)) if any(y)]
+    rng = random.Random(hash(moduli) + len(weights))
+    for _ in range(3):
+        sums = set()
+        while True:
+            left = unreachable_orbits(moduli, sums, h)
+            if h is not None:
+                assert sums == {tuple(a * c % m for a, c, m in zip(h, y, moduli))
+                                for y in sums}
+            bits = sum(1 << grid.encode(y) for y in sums)
+            assert cap_base - (bits & rep).bit_count() == left
+            grown = [weighted_sums(moduli, weights, [y], sums) for y in nonzero]
+            free = [g for g in grown if (0,) * len(moduli) not in g]
+            assert all(unreachable_orbits(moduli, g, h) < left for g in free)
+            if not free:
+                break
+            sums = rng.choice(free)
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_late_roots_are_not_dispatched(monkeypatch, width):
     # once the deadline has passed, no further root reaches _run_branch or
@@ -334,6 +385,46 @@ def test_late_roots_are_not_dispatched(monkeypatch, width):
         with pytest.raises(BudgetExceededError):
             exact_davenport(76, {1, 39}, SearchBudget(max_seconds=0.05))
         assert calls == [0]
+
+
+def test_closure_stops_at_the_deadline(monkeypatch):
+    # a stubbed clock stands still through root choice and the branches;
+    # once a branch has run, every orbit search takes one second.  With the
+    # deadline 2.5 s out, the closure searches three orbits, none of them
+    # started past the deadline, and ends the search as a truncation that
+    # holds just those orbits, each whole
+    moduli = (12,)
+    entries = _weight_entries({1, 5}, moduli)
+    forms, members = zip(*_prepare_candidates(moduli, entries))
+    space_args = (moduli, forms, _orbit_reps(moduli, entries))
+    gens = _scalings(moduli, members)
+    _, full, _, _ = _run_roots(_zero_sum_space, space_args, gens, len(forms),
+                               SearchBudget(), True)
+    clock, starts, closed_orbits, branched = [0.0], [], [], []
+    orbit = davenport._orbit
+
+    def timed_orbit(gens, items):
+        result = orbit(gens, items)
+        if branched:
+            starts.append(clock[0])
+            closed_orbits.append(result)
+            clock[0] += 1
+        return result
+
+    def record(args):
+        branched.append(args[2])
+        return _run_branch(args)
+
+    monkeypatch.setattr(davenport.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(davenport, "_orbit", timed_orbit)
+    monkeypatch.setattr(davenport, "_run_branch", record)
+    best, closed, _, exhaustive = _run_roots(
+        _zero_sum_space, space_args, gens, len(forms),
+        SearchBudget(max_seconds=2.5), True)
+    assert best == 4 and not exhaustive
+    assert starts == [0, 1, 2]
+    assert closed == sorted(set().union(*closed_orbits))
+    assert set(closed) < set(full)
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -655,3 +746,28 @@ def test_sandwich_rows_53_to_60():
     assert all(r.exhaustive for r in reports.values())
     # the threshold must reach the children: 1,658,714 nodes without it
     assert reports[60, 31].nodes < 800_000
+
+
+def _has_split(n, s):
+    try:
+        crt_split(n, s)
+    except NoValidSplitError:
+        return False
+    return True
+
+
+def test_orbit_capacity_prunes_the_bracket_rows():
+    # the bench's bracket rows: every involution s of Z_n with a CRT split,
+    # n <= 52.  Counting unreachable elements rather than unreachable
+    # orbits {y, s*y}, they took 289,087 nodes and (60, 31) took 433,869
+    rows = [(n, s) for n in range(2, 53) for s in involutions(n)
+            if _has_split(n, s)]
+    assert sum(verify_sandwich(n, s).nodes for n, s in rows) < 200_000
+    assert verify_sandwich(60, 31).nodes < 300_000
+
+
+def test_searches_without_an_involution_keep_their_nodes():
+    # {1} has no involution, so its capacity still counts single elements
+    # and its node counts are those of the element-count bound
+    assert exact_davenport((5, 5), {1}).nodes == 33_353
+    assert exact_davenport(30, {1}).nodes == 9_091

@@ -445,6 +445,14 @@ def test_classification_matches_oracle_with_translations():
     assert cases == 4844
 
 
+def test_classification_nodes_on_the_bench_specs():
+    # the slot space passes rep = -1, so the zero-sum space's orbit
+    # capacity leaves its bound, and these counts, as they were
+    specs = ((12, 5), (12, 7), (14, 13), (15, 4), (16, 7))
+    nodes = sum(classify_extremal(GroupSpec(n, s), n).nodes for n, s in specs)
+    assert nodes == 26_968
+
+
 def test_classification_report_fields():
     spec = GroupSpec.dihedral(4)
     rep = classify_extremal(spec, 4)
@@ -523,7 +531,7 @@ def test_slot_probe_matches_oracle_on_random_chains(n, s):
     pairs = {(12, 5): 5911, (8, 3): 3360, (7, 6): 2834}[n, s]
     spec = GroupSpec(n, s)
     step = min(c for c in range(1, n + 1) if c * (1 + s) % n == 0)
-    fold, forms, _ = _slot_space(n, s)
+    fold, forms, _, _ = _slot_space(n, s)
     rng = random.Random(n * 1000 + s)
     checked = gates = 0
     for _ in range(120):
