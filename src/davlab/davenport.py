@@ -332,11 +332,12 @@ def _run_branch(args):
     int, 0 for the empty sequence, and forms[i] is candidate i's pair
     (probe, arg): probe is the set of state bits that forbid appending it,
     and fold(state, arg) is the state after the append, called only when
-    state & probe is 0, so a blocked candidate costs one AND.  cap_base
-    minus the popcount of state & rep must bound how many appends can still
-    follow: rep is -1 when every append adds a state bit, and a mask of one
-    bit per orbit when every state is a union of orbits and every append
-    adds an orbit.  Chains are nondecreasing candidate indices from root.
+    state & probe is 0, so a blocked candidate costs one AND.  The popcount
+    of state & rep must lower-bound a count that every append raises and
+    that cannot pass cap_base, so that cap_base minus it bounds how many
+    appends can still follow: the reachable orbits of nonzero sums here,
+    the realized products of metacyclic._slot_space.  Chains are
+    nondecreasing candidate indices from root.
 
     Phase one, max_ext(R, last, depth, beat), bounds the longest extension
     of a (state, lowest candidate) pair.  It returns v: if v > beat, v is

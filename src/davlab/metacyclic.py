@@ -13,7 +13,10 @@ a product-one word is again product-one, so a sequence stays
 product-one-free after appending g exactly when the inverse of g is not
 such a sum.  The classification and small Davenport searches run that fold
 through davenport._run_branch (_slot_space); the product-one detector runs
-it once per pick count.
+it once per pick count.  The searches' capacity counts realized products:
+each append makes at least one more non-identity element an ordered
+product of the chain, so the products the state already shows bound the
+appends left out of the 2n - 1 non-identity elements.
 
 The searches use two reductions.  Candidates come plain first, so after a
 reflection only reflections follow, and they never read kind 0: the search
@@ -101,6 +104,16 @@ class GSequence:
         elems.sort()
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "elements", tuple(elems))
+
+    @classmethod
+    def _of(cls, spec, elements):
+        """A sequence built without validation.  The caller guarantees what
+        __init__ would establish: elements is a tuple of MetaElems with eps
+        in {0, 1} and a reduced modulo spec.n, sorted."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["spec"], fields["elements"] = spec, elements
+        return self
 
     def __len__(self):
         return len(self.elements)
@@ -329,23 +342,28 @@ def _slot_space(n, s):
     it maps a chain with a plain prefix to one whose first reflection has
     b < step and the same prefix; _search closes the found chains under it.
 
-    Capacity: a plain append adds v to kind 0, new since kind 0 would
-    otherwise be closed under adding v and so hold 0; a reflection append
-    fills kind 2 one balance above the highest in use.  So every append
-    raises the popcount by at least one, except that the first reflection
-    also clears kind 0, at most n - 1 bits (0 is not among them).  A
-    product-one-free sequence has at most 2n - 1 elements, so kind 2 fits in
-    lanes 2 to 4n, next to kind 0 in lane 0 and kind 1 in lane 1.  Take m
-    appends after a state with popcount p.  If the chain ends holding a
-    reflection, its kind 0 is empty, so its popcount is at most 4n * n and
-    at least p + m - (n - 1): m <= n(4n + 1) - 1 - p.  If it stays plain,
-    its popcount is at most 2n, so m <= 2n - p.  So n * (4n + 1) minus the
-    popcount bounds the appends that can still follow, as it did while kind
-    0 was kept.
+    Capacity: let W(C) be the set of non-identity elements that some
+    ordering of a nonempty sub-multiset of a product-one-free chain C
+    multiplies to.  If Cg is product-one-free, W(Cg) holds W(C), g and
+    W(C) * g.  Were it no larger than W(C), W(C) would hold g and be closed
+    under right multiplication by g, so it would hold g^ord(g) = 1.  So
+    every append adds an element to W, which has at most 2n - 1, and at
+    most 2n - 1 - |W(C)| appends can follow C.  The bits of rep stand for
+    distinct elements of W(C), so the popcount of state & rep is at most
+    |W(C)|.  Lane 0 (kind 0) holds the a-parts v of the plain products y^v
+    while the chain is plain.  Lane 2 (kind 2, balance 0) holds those of the
+    products y^v of an even, nonzero number of reflections; it is empty
+    until the first reflection, where the fold clears lane 0, so no y^v
+    counts twice, and v = 0, the identity, counts in neither.  Lane 4 (kind
+    2, balance +1) holds the a-parts v of the products x y^v, none the
+    identity.  Every sum in lanes 2 and 4 is the a-part of a product of the
+    chain by _SlotSums' ordering rule for balances 0 and +1, and lane 0's
+    sums are products of commuting plain elements.
     """
     slots = _slot_sums(n, s)
     append, empty = slots.append, slots.empty
     lane0 = (1 << n) - 1
+    nonzero = lane0 & ~1
     step = _translation_step(n, s)
     forms = [((1 << (4 * n + (-v * s) % n) | (lane0 if v >= step else 0)) if eps
               else 1 << (n - v) | 1 << (3 * n - v), (eps, v))
@@ -356,7 +374,7 @@ def _slot_space(n, s):
         eps, v = arg
         return append(state & drop_kind0 if eps else state, state | empty, eps, v)
 
-    return fold, forms, n * (4 * n + 1), -1
+    return fold, forms, 2 * n - 1, nonzero | nonzero << 2 * n | lane0 << 4 * n
 
 
 def _action(n, s):
@@ -409,10 +427,12 @@ def classify_extremal(spec, length, budget=None):
     if not 1 <= _integer(length, "length") <= 2 * spec.n - 1:
         raise ValueError(f"length must lie in [1, {2 * spec.n - 1}], got {length}")
     _, chains, nodes, exhaustive = _search(spec, budget, length)
-    cands = _candidates(spec.n)
+    # candidate order is (eps, a) order, so the nondecreasing chains come
+    # out sorted
+    cands = [MetaElem(eps, a) for eps, a in _candidates(spec.n)]
     claimed, other = [], []
     for chain in chains:
-        seq = GSequence(spec, [cands[i] for i in chain])
+        seq = GSequence._of(spec, tuple(cands[i] for i in chain))
         if length == spec.n and is_claimed_extremal_form(seq):
             claimed.append(seq)
         else:

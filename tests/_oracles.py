@@ -92,6 +92,25 @@ def automorphisms(n, s):
     return [(u, c) for u in units(n) for c in range(n) if c * (1 + s) % n == 0]
 
 
+def realized_products(spec, elems):
+    """The non-identity elements that some ordering of some nonempty
+    sub-multiset of elems multiplies to.  An ordering of a sub-multiset
+    ends in one of its elements after an ordering of the rest, so each
+    sub-multiset's products, keyed by a count per distinct element, are
+    those of the sub-multisets one element smaller, each times the element
+    left out."""
+    distinct = sorted(set(elems))
+    full = [list(elems).count(g) for g in distinct]
+    found = {}
+    for counts in sorted(product(*(range(k + 1) for k in full)), key=sum):
+        found[counts] = {
+            mul(p, g, spec)
+            for i, g in enumerate(distinct) if counts[i]
+            for p in found[counts[:i] + (counts[i] - 1,) + counts[i + 1:]]
+        } if any(counts) else {IDENTITY}
+    return set().union(*found.values()) - {IDENTITY}
+
+
 def weighted_sums(moduli, weights, elements, sums=frozenset()):
     """sums together with every weighted sum that a nonempty subsequence of
     elements adds to it, over Z_m1 x ... x Z_mk, as a set of coordinate

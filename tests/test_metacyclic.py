@@ -31,7 +31,7 @@ from davlab.metacyclic import (
 from davlab.davenport import SearchBudget
 from davlab.modring import crt_split, involutions, units
 from davlab.zsfree import ZSequence, has_weighted_zero_sum
-from _oracles import automorphisms, product_one_oracle
+from _oracles import automorphisms, product_one_oracle, realized_products
 
 
 def some_specs(n_max):
@@ -329,6 +329,9 @@ def test_classification_is_exhaustive_against_oracle():
         spec = GroupSpec(n, s)
         for length in range(1, n + 2):
             rep = classify_extremal(spec, length)
+            # the unchecked build gives what the checked one would
+            assert all(S == GSequence(spec, S.elements)
+                       for S in rep.claimed + rep.other)
             reported = {S.elements for S in rep.claimed} | {
                 S.elements for S in rep.other
             }
@@ -446,11 +449,21 @@ def test_classification_matches_oracle_with_translations():
 
 
 def test_classification_nodes_on_the_bench_specs():
-    # the slot space passes rep = -1, so the zero-sum space's orbit
-    # capacity leaves its bound, and these counts, as they were
+    # the slot space's capacity counts the products a chain already
+    # realizes, so the search stops a branch once fewer appends are left
+    # than it must beat; the search is deterministic, so this count pins
+    # that prune exactly
     specs = ((12, 5), (12, 7), (14, 13), (15, 4), (16, 7))
     nodes = sum(classify_extremal(GroupSpec(n, s), n).nodes for n, s in specs)
-    assert nodes == 26_968
+    assert nodes == 8_805
+
+
+def test_classification_20_11_stays_pruned():
+    # a capacity that never prunes takes 257,119 nodes here, the
+    # realized-product capacity 44,734
+    rep = classify_extremal(GroupSpec(20, 11), 20)
+    assert (len(rep.claimed), len(rep.other)) == (160, 0)
+    assert rep.nodes < 100_000
 
 
 def test_classification_report_fields():
@@ -554,6 +567,37 @@ def test_slot_probe_matches_oracle_on_random_chains(n, s):
             chain.append(forms[last][1])
             state = fold(state, forms[last][1])
     assert checked >= pairs and gates > 0
+
+
+def test_slot_capacity_counts_realized_products():
+    # along random product-one-free chains in candidate order, every s with
+    # s*s = 1 and n <= 10: each append realizes at least one more
+    # non-identity product, and the state bits the capacity counts are at
+    # most the products realized, counted over all orderings of all
+    # sub-multisets, out of at most 2n - 1
+    checked = 0
+    for n in range(3, 11):
+        for s in [s for s in range(n) if s * s % n == 1]:
+            spec = GroupSpec(n, s)
+            fold, forms, cap_base, rep = _slot_space(n, s)
+            assert cap_base == 2 * n - 1
+            rng = random.Random(n * 100 + s)
+            for _ in range(100):
+                chain, state, last, realized = [], 0, 0, 0
+                while True:
+                    free = [i for i in range(last, len(forms))
+                            if not state & forms[i][0]]
+                    if not free:
+                        break
+                    last = rng.choice(free)
+                    chain.append(MetaElem(*forms[last][1]))
+                    state = fold(state, forms[last][1])
+                    grown = len(realized_products(spec, chain))
+                    assert realized < grown <= cap_base
+                    realized = grown
+                    assert (state & rep).bit_count() <= realized, (n, s, chain)
+                    checked += 1
+    assert checked > 7000
 
 
 def test_small_davenport_budget_exhaustion():
