@@ -7,6 +7,7 @@ inside its wall-clock budget; where that budget cuts a search depends on
 scheduling.  See SearchBudget.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -88,7 +89,7 @@ def parse_weight_family(n, text):
             return WeightSet(n, range(1, r + 1))
         if text.startswith("onestwo:"):
             s = int(text.partition(":")[2]) % n
-            if (s * s) % n != 1 or s in (0, 1, n - 1):
+            if s not in involutions(n):
                 raise click.UsageError(
                     f"s={s} is not a nontrivial involution mod {n}"
                 )
@@ -131,17 +132,18 @@ def _emit(rows, columns, fmt, output):
         return
     # Write-then-rename so readers never observe a half-written file.
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".davlab-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".davlab-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise click.FileError(output, hint=e.strerror) from None
 
 
 def _format_options(fn):

@@ -56,7 +56,7 @@ from math import comb, prod
 from .bounds import table_row
 from .errors import BoundViolationError, BudgetExceededError, TooLargeError
 from .modring import WeightSet, _integer, units
-from .zsfree import ZSequence, _as_moduli, _element_images, _grid, _weight_entries
+from .zsfree import ZSequence, _as_moduli, _grid, _weight_entries
 
 # Bitset width cap; beyond this the search would not finish anyway.
 MAX_GROUP_BITS = 4096
@@ -182,11 +182,10 @@ def _prepare_candidates(moduli, entries):
     grid = _grid(moduli)
     by_probe = {}
     for code in range(1, grid.size):
-        x = code if grid.rank == 1 else grid.decode(code)
-        codes, shifts = _element_images(grid, x, entries)
+        x = grid.element(code)
+        codes, shifts = grid.images(x, entries)
         if codes[0]:
-            negs = (grid.encode([-v for v in grid.decode(c)]) for c in codes)
-            probe = sum(1 << c for c in negs)
+            probe = sum(1 << grid.times(-1, grid.element(c)) for c in codes)
             by_probe.setdefault(probe, ((probe, shifts), []))[1].append(x)
     return [(form, tuple(members)) for form, members in by_probe.values()]
 
@@ -206,14 +205,12 @@ def _scalings(moduli, members):
     """The scalings of (n,) * k by _generators(n) as permutations of the
     candidate classes members, which scaling permutes as it commutes with
     scalar weights.  Mixed moduli have none."""
-    n = moduli[0]
     if len(set(moduli)) != 1:
         return []
-    index_of = {x: i for i, xs in enumerate(members) for x in xs}
-    if len(moduli) == 1:
-        return [[index_of[u * xs[0] % n] for xs in members] for u in _generators(n)]
-    return [[index_of[tuple(u * c % n for c in xs[0])] for xs in members]
-            for u in _generators(n)]
+    grid = _grid(moduli)
+    index_of = {grid.code(x): i for i, xs in enumerate(members) for x in xs}
+    return [[index_of[grid.times(u, xs[0])] for xs in members]
+            for u in _generators(moduli[0])]
 
 
 def _orbit(gens, items):
@@ -301,17 +298,14 @@ def _orbit_reps(moduli, entries):
     = A, the bit of the orbit's least code.  Without such an h every orbit
     is one code, and every nonzero code has its bit."""
     grid = _grid(moduli)
-    vecs = [(a,) for a in entries] if grid.rank == 1 else list(entries)
-
-    def times(u, x):
-        return tuple(a * b % m for a, b, m in zip(u, x, moduli))
-
-    one = (1,) * grid.rank
-    h = next((u for u in vecs if u != one and times(u, u) == one
-              and {times(u, a) for a in vecs} == set(vecs)), None)
+    one = sum(grid.strides)  # the code of the all-ones element
+    codes = {grid.code(a) for a in entries}
+    h = next((u for u in entries if grid.code(u) != one
+              and grid.times(u, u) == one
+              and {grid.times(u, a) for a in entries} == codes), None)
     if h is None:
         return grid.mask - 1
-    reps = {min(c, grid.encode(times(h, grid.decode(c))))
+    reps = {min(c, grid.times(h, grid.element(c)))
             for c in range(1, grid.size)}
     return sum(1 << c for c in reps)
 
@@ -543,16 +537,17 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
     if not orbit_reduced or len(set(moduli)) != 1:
         return found
     gens = _scalings(moduli, found._members)
-    n, us = moduli[0], units(moduli[0])
+    grid = _grid(moduli)
+    # one table per unit u: usable element x -> u*x
+    tables = [{x: grid.element(grid.times(u, x)) for xs in found._members
+               for x in xs} for u in units(moduli[0])]
     seen, reps = set(), set()
     for core in found._cores:
         if core in seen:
             continue
         seen |= _orbit(gens, core)
         for e in found._expand(core):
-            images = (sorted(u * x % n for x in e) if len(moduli) == 1 else
-                      sorted(tuple(u * c % n for c in x) for x in e) for u in us)
-            reps.add(tuple(min(images)))
+            reps.add(min(tuple(sorted(t[x] for x in e)) for t in tables))
     return tuple(ZSequence._of(moduli, e) for e in sorted(reps))
 
 

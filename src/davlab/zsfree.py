@@ -7,6 +7,10 @@ the empty sum) for every weighted image of x.  For rank one the rotation is a
 plain bit rotation; for products it rotates each coordinate through
 precomputed masks.
 
+_Grid owns the element format (an int for Z_n, a coordinate tuple for a
+product, weight entries alike): past input validation and the oracle, code
+here and in davenport reaches elements only through its methods.
+
 Certificates come from the same fold: extract_certificate layers it by pick
 count, so a shortest zero sum is found and read back without recursion, at
 a cost that grows with the pick count times the length.
@@ -32,11 +36,13 @@ def _as_moduli(moduli):
 
 
 class _Grid:
-    """Bitset geometry for Z_{m1} x ... x Z_{mk}.
+    """Bitset geometry and element format for Z_{m1} x ... x Z_{mk}.
 
     Codes are mixed radix with the first coordinate least significant, so
     code 0 is the zero element.  _lt[i][c] masks the codes whose i-th
-    coordinate is below c; coordinate-wise rotation splits on it.
+    coordinate is below c; coordinate-wise rotation splits on it.  code,
+    element, times and images map elements (ints for rank one) to codes and
+    back, with inline rank-one fast paths; fold takes images' shift forms.
     """
 
     __slots__ = ("moduli", "rank", "size", "mask", "strides", "_lt")
@@ -56,17 +62,11 @@ class _Grid:
             self._lt = None
             return
         lt = []
-        for i, m in enumerate(moduli):
-            st = strides[i]
-            block = m * st
-            row = []
-            for c in range(m + 1):
-                unit = (1 << (c * st)) - 1
-                full = 0
-                for b in range(0, size, block):
-                    full |= unit << b
-                row.append(full)
-            lt.append(row)
+        for m, st in zip(moduli, strides):
+            # one bit at the start of every block of m * st codes; a mask
+            # of fewer than m * st bits times it repeats in every block
+            starts = self.mask // ((1 << (m * st)) - 1)
+            lt.append([((1 << (c * st)) - 1) * starts for c in range(m + 1)])
         self._lt = lt
 
     def encode(self, vec):
@@ -81,6 +81,31 @@ class _Grid:
             code, r = divmod(code, m)
             vec.append(r)
         return tuple(vec)
+
+    def code(self, x):
+        """The code of element x."""
+        return x % self.size if self.rank == 1 else self.encode(x)
+
+    def element(self, code):
+        """The element with the given code."""
+        return code if self.rank == 1 else self.decode(code)
+
+    def times(self, a, x):
+        """The code of a*x, for a weight entry or a scalar unit a."""
+        if self.rank == 1:
+            return a * x % self.size
+        if isinstance(a, int):
+            a = (a,) * self.rank
+        return self.encode([u * v for u, v in zip(a, x)])
+
+    def images(self, x, entries):
+        """The distinct weighted images of element x: (sorted codes, their
+        shift forms for fold)."""
+        if self.rank == 1:
+            codes = tuple(sorted({a * x % self.size for a in entries}))
+            return codes, codes
+        codes = tuple(sorted({self.times(a, x) for a in entries}))
+        return codes, tuple(map(self.decode, codes))
 
     def shift_vec(self, bits, vec):
         for i, t in enumerate(vec):
@@ -190,36 +215,22 @@ def _weight_entries(weights, moduli):
     when every modulus equals its n.  Weights acting as zero everywhere are
     rejected (they would make every element an instant zero sum).
     """
-    rank = len(moduli)
     if isinstance(weights, WeightSet):
         if any(m != weights.n for m in moduli):
             raise ValueError(
                 f"weight set over Z_{weights.n} does not fit moduli {moduli}"
             )
         weights = weights.weights
+    zero = _as_entry(0, moduli)
     entries = set()
     for w in weights:
         entry = _as_entry(w, moduli)
-        if not (entry if rank == 1 else any(entry)):
+        if entry == zero:
             raise ValueError(f"weight {w!r} acts as zero on every element")
         entries.add(entry)
     if not entries:
         raise ValueError("weight collection must be nonempty")
     return tuple(sorted(entries))
-
-
-def _element_images(grid, x, entries):
-    """Distinct weighted images of one element: (codes, shift forms)."""
-    if grid.rank == 1:
-        n = grid.size
-        codes = sorted({(a * x) % n for a in entries})
-        return tuple(codes), tuple(codes)
-    seen = {}
-    for a in entries:
-        vec = tuple((ai * xi) % m for ai, xi, m in zip(a, x, grid.moduli))
-        seen[grid.encode(vec)] = vec
-    codes = sorted(seen)
-    return tuple(codes), tuple(seen[c] for c in codes)
 
 
 @dataclass(frozen=True)
@@ -230,9 +241,7 @@ class ReachableSet:
     bits: int
 
     def __contains__(self, value):
-        grid = _grid(self.moduli)
-        code = value % grid.size if grid.rank == 1 else grid.encode(value)
-        return bool((self.bits >> code) & 1)
+        return bool((self.bits >> _grid(self.moduli).code(value)) & 1)
 
     def __len__(self):
         return self.bits.bit_count()
@@ -247,7 +256,7 @@ class ReachableSet:
         bits = self.bits
         while bits:
             code = (bits & -bits).bit_length() - 1
-            out.append(code if grid.rank == 1 else grid.decode(code))
+            out.append(grid.element(code))
             bits &= bits - 1
         return out
 
@@ -258,7 +267,7 @@ def reachable_sums(S, weights):
     entries = _weight_entries(weights, S.moduli)
     bits = 0
     for x in S.elements:
-        bits = grid.fold(bits, _element_images(grid, x, entries)[1])
+        bits = grid.fold(bits, grid.images(x, entries)[1])
     return ReachableSet(S.moduli, bits)
 
 
@@ -362,19 +371,10 @@ class Certificate:
             allowed = set(_weight_entries(weights, moduli))
             if any(w not in allowed for w in applied):
                 return False
-        if len(moduli) == 1:
-            n = moduli[0]
-            total = 0
-            for i, a in zip(self.indices, applied):
-                total = (total + a * S.elements[i - 1]) % n
-            return total == 0
-        total = (0,) * len(moduli)
-        for i, a in zip(self.indices, applied):
-            x = S.elements[i - 1]
-            total = tuple(
-                (t + ai * xi) % m for t, ai, xi, m in zip(total, a, x, moduli)
-            )
-        return not any(total)
+        grid = _grid(moduli)
+        terms = [grid.decode(grid.times(a, S.elements[i - 1]))
+                 for i, a in zip(self.indices, applied)]
+        return grid.encode(map(sum, zip(*terms))) == 0
 
 
 def extract_certificate(S, weights):
@@ -403,13 +403,9 @@ def extract_certificate(S, weights):
     entries = _weight_entries(weights, S.moduli)
     elems = S.elements
     m = len(elems)
-    images = [_element_images(grid, x, entries)[1] for x in elems]
-    negated = [
-        _element_images(
-            grid, -x if grid.rank == 1 else tuple(-v for v in x), entries
-        )[1]
-        for x in elems
-    ]
+    images = [grid.images(x, entries)[1] for x in elems]
+    negated = [grid.images(grid.element(grid.times(-1, x)), entries)[1]
+               for x in elems]
 
     rows = [[0] * (m + 1)]
     while not rows[-1][0] & 1:
@@ -441,7 +437,7 @@ def extract_certificate(S, weights):
     sums = 0
     for j, rest in zip(picks, rests):
         for a in entries:
-            trial = grid.fold(sums, _element_images(grid, elems[j], (a,))[1])
+            trial = grid.fold(sums, grid.images(elems[j], (a,))[1])
             if trial & (rest | 1):
                 break
         else:

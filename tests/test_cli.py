@@ -8,12 +8,13 @@ import csv
 import io
 import json
 import os
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 import davlab.bounds
-from davlab.cli import ENV_BUDGET_SECONDS, cli
+from davlab.cli import ENV_BUDGET_SECONDS, cli, main
 
 
 def run(args, env=None):
@@ -254,6 +255,39 @@ def test_output_file_matches_stdout(tmp_path):
     assert target.read_text() == direct.stdout
     # The write-then-rename dance leaves no temporaries behind.
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def run_main(monkeypatch, capsys, args):
+    """main() as the console script runs it: (exit code, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["davlab", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, err = run_main(monkeypatch, capsys,
+                         ["involutions", "--n", "24", "--output", str(target)])
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rename_exits_2_and_cleans_up(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "x.txt"
+    code, err = run_main(monkeypatch, capsys,
+                         ["involutions", "--n", "24", "--output", str(target)])
+    assert code == 2
+    assert "Traceback" not in err
+    assert "Permission denied" in err
+    # the written temporary is removed
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_env_validation():

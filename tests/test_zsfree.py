@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -13,10 +14,11 @@ from davlab.zsfree import (
     ZSequence,
     brute_force_oracle,
     extract_certificate,
+    _grid,
     has_weighted_zero_sum,
     reachable_sums,
 )
-from _oracles import lexmin_certificate
+from _oracles import lexmin_certificate, weighted_sums
 
 
 def test_zsequence_canonical_storage():
@@ -75,6 +77,9 @@ def test_reachable_sums_signed_example():
     assert not R.has_zero
     assert 0 not in R
     assert 5 in R
+    # unreduced values name their residues
+    assert -1 in R and 13 in R
+    assert 8 not in R and -8 not in R
 
 
 def test_reachable_sums_matches_direct_enumeration():
@@ -94,6 +99,57 @@ def test_reachable_sums_matches_direct_enumeration():
             )
         R = reachable_sums(S, ws)
         assert set(R.values()) == want
+
+
+def test_reachable_set_values_and_membership_over_products():
+    rng = random.Random(0x5E75)
+    for _ in range(60):
+        moduli = (rng.randint(2, 4), rng.randint(2, 5))
+        elems = [tuple(rng.randrange(q) for q in moduli)
+                 for _ in range(rng.randint(1, 4))]
+        ws = [(1, 1), (moduli[0] - 1, 1)]
+        R = reachable_sums(ZSequence(moduli, elems), ws)
+        want = weighted_sums(moduli, ws, elems)
+        assert sorted(R.values()) == sorted(want)
+        assert len(R) == len(want)
+        for y in product(*map(range, moduli)):
+            assert (y in R) == (y in want)
+            # unreduced coordinates name the same element
+            assert ((y[0] + moduli[0], y[1] - moduli[1]) in R) == (y in want)
+
+
+@pytest.mark.parametrize("moduli", [(12,), (6, 6), (2, 4)])
+def test_grid_element_format_against_coordinates(moduli):
+    grid = _grid(moduli)
+    vecs = list(product(*map(range, moduli)))
+    as_elem = (lambda v: v[0]) if len(moduli) == 1 else (lambda v: v)
+
+    def mul(a, v):
+        return tuple(ai * vi % m for ai, vi, m in zip(a, v, moduli))
+
+    codes = [grid.code(as_elem(v)) for v in vecs]
+    # mixed radix, first coordinate least significant
+    assert codes == [sum(vi * prod(moduli[:i]) for i, vi in enumerate(v))
+                     for v in vecs]
+    assert sorted(codes) == list(range(grid.size))
+    for v, c in zip(vecs, codes):
+        assert grid.element(c) == as_elem(v)
+        assert grid.code(grid.element(c)) == c
+    weights = [tuple(k % m for m in moduli) for k in (1, 5, 7)]
+    weights.append(tuple(range(1, len(moduli) + 1)))
+    for v in vecs:
+        x = as_elem(v)
+        for u in (1, 5, -1):
+            want = mul((u,) * len(moduli), v)
+            assert grid.times(u, x) == grid.code(as_elem(want))
+        for w in weights:
+            assert grid.times(as_elem(w), x) == grid.code(as_elem(mul(w, v)))
+        entries = [as_elem(w) for w in weights]
+        codes, shifts = grid.images(x, entries)
+        assert codes == tuple(sorted({grid.code(as_elem(mul(w, v)))
+                                      for w in weights}))
+        # a shift form is the image itself: a code, or a coordinate tuple
+        assert [grid.code(f) for f in shifts] == list(codes)
 
 
 def test_reachable_sums_monotone_under_extension():
@@ -279,6 +335,17 @@ def test_certificate_holds_for_rejects_malformed():
     assert not Certificate((1,), (2.4,)).holds_for(ZSequence(12, [5]))
     assert not Certificate((1,), (True,)).holds_for(ZSequence(12, [0]))
     assert Certificate((1, 2), (1, 1)).holds_for(S)
+
+
+def test_certificate_holds_for_sums_coordinates_over_products():
+    # codes 1 + 5 sum to |G| = 6, yet the element sum is (0, 2)
+    S = ZSequence((2, 3), [(1, 0), (1, 2)])
+    assert not Certificate((1, 2), ((1, 1), (1, 1))).holds_for(S)
+    # the sum (1, 0) misses in the first coordinate only
+    S = ZSequence((2, 3), [(0, 1), (1, 2)])
+    assert not Certificate((1, 2), ((1, 1), (1, 1))).holds_for(S)
+    S = ZSequence((2, 3), [(1, 1), (1, 2)])
+    assert Certificate((1, 2), ((1, 1), (1, 1))).holds_for(S)
 
 
 def test_certificates_in_product_groups():
