@@ -50,7 +50,7 @@ from collections import Counter
 from collections.abc import Sequence
 from concurrent import futures
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product as iter_product
+from itertools import combinations_with_replacement, product as iter_product, repeat
 from math import comb, prod
 
 from .bounds import table_row
@@ -106,16 +106,17 @@ class _Witnesses(Sequence):
     expands to every multiset taking k elements, with repetition, from each
     class it repeats k times.  Classes partition the elements, so distinct
     cores expand to disjoint sets and len() is the sum over the cores of the
-    product of C(|class| + k - 1, k), with nothing built.  Iteration and
-    indexing expand every core once, on first use, into ZSequences sorted by
-    their elements.
+    product of C(|class| + k - 1, k), with nothing built.  The first read
+    expands every core into one sorted list of element tuples, the only
+    thing kept; iteration and indexing build each ZSequence from it as they
+    hand it out, and keep none.
     """
 
     def __init__(self, moduli, members, cores):
         self._moduli = moduli
         self._members = members
         self._cores = cores
-        self._built = None
+        self._found = None
 
     def _expand(self, core):
         pools = [combinations_with_replacement(self._members[i], k)
@@ -123,11 +124,11 @@ class _Witnesses(Sequence):
         for pick in iter_product(*pools):
             yield tuple(sorted(sum(pick, ())))
 
-    def _sequences(self):
-        if self._built is None:
-            found = sorted(e for core in self._cores for e in self._expand(core))
-            self._built = tuple(ZSequence._of(self._moduli, e) for e in found)
-        return self._built
+    def _elements(self):
+        if self._found is None:
+            self._found = tuple(sorted(
+                e for core in self._cores for e in self._expand(core)))
+        return self._found
 
     def __len__(self):
         return sum(prod(comb(len(self._members[i]) + k - 1, k)
@@ -135,20 +136,24 @@ class _Witnesses(Sequence):
                    for core in self._cores)
 
     def __getitem__(self, index):
-        return self._sequences()[index]
+        found = self._elements()[index]
+        if isinstance(index, slice):
+            return tuple(map(ZSequence._of, repeat(self._moduli), found))
+        return ZSequence._of(self._moduli, found)
 
     def __iter__(self):
-        return iter(self._sequences())
+        return map(ZSequence._of, repeat(self._moduli), self._elements())
 
     # value semantics, so that ExactResults of equal searches compare and
     # hash equal
     def __eq__(self, other):
         if not isinstance(other, _Witnesses):
             return NotImplemented
-        return self._sequences() == other._sequences()
+        return (self._moduli == other._moduli
+                and self._elements() == other._elements())
 
     def __hash__(self):
-        return hash(self._sequences())
+        return hash((self._moduli, self._elements()))
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,8 @@ class ExactResult:
     """constant is one more than max_zsf_length, the longest zero-sum-free
     length.  witnesses is None when the search collected none, and otherwise
     a lazy read-only sequence of every zero-sum-free sequence of that
-    length: len() counts them without building any, and iterating or
-    indexing builds them once, as ZSequences sorted by their elements."""
+    length, sorted by their elements: len() counts them without building
+    any, and iterating or indexing builds each ZSequence as it is read."""
 
     constant: int
     max_zsf_length: int
@@ -538,16 +543,16 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
         return found
     gens = _scalings(moduli, found._members)
     grid = _grid(moduli)
-    # one table per unit u: usable element x -> u*x
-    tables = [{x: grid.element(grid.times(u, x)) for xs in found._members
-               for x in xs} for u in units(moduli[0])]
+    # one lookup per unit u: usable element x -> u*x
+    scale = [{x: grid.element(grid.times(u, x)) for xs in found._members
+              for x in xs}.__getitem__ for u in units(moduli[0])]
     seen, reps = set(), set()
     for core in found._cores:
         if core in seen:
             continue
         seen |= _orbit(gens, core)
         for e in found._expand(core):
-            reps.add(min(tuple(sorted(t[x] for x in e)) for t in tables))
+            reps.add(tuple(min(map(sorted, map(map, scale, repeat(e))))))
     return tuple(ZSequence._of(moduli, e) for e in sorted(reps))
 
 

@@ -327,10 +327,9 @@ def _slot_space(n, s):
     The fold is defined on candidate-ordered chains only, the chains that
     _run_branch builds: plain elements first, so no plain element follows a
     reflection.  A reflection append never reads kind 0, and nothing after
-    it does either, so the fold clears kind 0 there: kind 0 is nonempty
-    exactly while the chain is plain and nonempty, and states that differ
-    only in kind 0 share one memo entry.  The product-one detector keeps
-    kind 0.
+    it does either, so the fold clears kind 0 there, once the capacity has
+    what it needs of it (below): kind 0 is nonempty exactly while the chain
+    is plain and nonempty.  The product-one detector keeps kind 0.
 
     A form is (probe, (eps, v)), and the probe holds the candidate's inverse:
     a plain y^v is blocked when -v lies in kind 0 or in kind 2 at balance 0
@@ -352,13 +351,18 @@ def _slot_space(n, s):
     distinct elements of W(C), so the popcount of state & rep is at most
     |W(C)|.  Lane 0 (kind 0) holds the a-parts v of the plain products y^v
     while the chain is plain.  Lane 2 (kind 2, balance 0) holds those of the
-    products y^v of an even, nonzero number of reflections; it is empty
-    until the first reflection, where the fold clears lane 0, so no y^v
-    counts twice, and v = 0, the identity, counts in neither.  Lane 4 (kind
-    2, balance +1) holds the a-parts v of the products x y^v, none the
-    identity.  Every sum in lanes 2 and 4 is the a-part of a product of the
-    chain by _SlotSums' ordering rule for balances 0 and +1, and lane 0's
-    sums are products of commuting plain elements.
+    products y^v of an even, nonzero number of reflections, and from the
+    first reflection on also the plain ones: a reflection append moves lane
+    0's nonzero sums into lane 2 as it clears lane 0, so the plain products
+    the chain still realizes keep counting.  Each y^v thus counts in one
+    lane, and v = 0, the identity, in neither.  Lane 4 (kind 2, balance +1)
+    holds the a-parts v of the products x y^v, none the identity.  Every
+    other sum in lanes 2 and 4 is the a-part of a product of the chain by
+    _SlotSums' ordering rule for balances 0 and +1, and lane 0's sums are
+    products of commuting plain elements.  The moved sums change no
+    transition: after a reflection only reflections follow, whose appends
+    read lane 2 together with lane 1, and lane 1 already holds every plain
+    sum of lane 0; a reflection's probe reads lanes 0 and 4, never lane 2.
     """
     slots = _slot_sums(n, s)
     append, empty = slots.append, slots.empty
@@ -369,10 +373,15 @@ def _slot_space(n, s):
               else 1 << (n - v) | 1 << (3 * n - v), (eps, v))
              for eps, v in _candidates(n)]
     drop_kind0 = ~lane0
+    to_lane2 = 2 * n
 
     def fold(state, arg):
         eps, v = arg
-        return append(state & drop_kind0 if eps else state, state | empty, eps, v)
+        if eps:
+            base = state & drop_kind0 | (state & nonzero) << to_lane2
+        else:
+            base = state
+        return append(base, state | empty, eps, v)
 
     return fold, forms, 2 * n - 1, nonzero | nonzero << 2 * n | lane0 << 4 * n
 

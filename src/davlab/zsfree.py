@@ -139,7 +139,7 @@ def _grid(moduli):
     return _Grid(moduli)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ZSequence:
     """A finite multiset over Z_n (rank one) or a product of cyclic groups.
 
@@ -177,11 +177,12 @@ class ZSequence:
         """A sequence built without validation.  The caller guarantees
         what __init__ would establish: moduli came from _as_moduli, and
         elements is a sorted tuple of reduced elements (ints for rank one,
-        coordinate tuples otherwise).  Writing the instance dict directly
-        costs half as much as object.__setattr__."""
+        coordinate tuples otherwise).  It sets the two slots through their
+        descriptors, which skips the frozen __setattr__ and builds no
+        instance dict."""
         self = object.__new__(cls)
-        fields = self.__dict__
-        fields["moduli"], fields["elements"] = moduli, elements
+        _set_moduli(self, moduli)
+        _set_elements(self, elements)
         return self
 
     @property
@@ -195,6 +196,15 @@ class ZSequence:
 
     def __iter__(self):
         return iter(self.elements)
+
+    def __reduce__(self):
+        # pickle and copy through the checked constructor, whatever the
+        # Python version's dataclasses does for frozen slotted classes
+        return ZSequence, (self.moduli, self.elements)
+
+
+_set_moduli = ZSequence.moduli.__set__
+_set_elements = ZSequence.elements.__set__
 
 
 def _as_entry(w, moduli):

@@ -5,6 +5,7 @@ both output streams are observable without spawning subprocesses.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -155,6 +156,21 @@ def test_exact_witness_listing():
     assert row["constant"] == 3
     assert row["witness_count"] == 2
     assert row["witnesses"] == "1 2|2 3"
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["exact", "--n", "36", "--weights", "pm1", "--witnesses",
+      "--format", "json"],
+     "ef262c9c4043cd6ecfcf3ce509a88f371063a4afceb23c9615503fb4ba41c377"),
+    (["exact", "--n", "12", "--weights", "onestwo:5", "--witnesses"],
+     "625226c968aec04a0c0bda395ad9ac5e742cbe687b3db1ccb8fd618ff797d773"),
+])
+def test_exact_witness_listing_bytes(args, digest):
+    # the listings byte for byte, in order: a change to the witness order or
+    # to their formatting shows here
+    res = run(args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 def test_exact_qr_warns_off_closed_form():

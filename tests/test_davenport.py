@@ -1,7 +1,11 @@
+import copy
+import gc
 import inspect
+import pickle
 import random
 import sys
 import time
+import types
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
@@ -183,10 +187,62 @@ def test_witness_count_builds_no_sequence(monkeypatch):
     res = exact_davenport(30, {1, 29})
     assert len(res.witnesses) == 6656
     assert built == []
-    # iterating builds each sequence once, and only once
+    # iterating builds each sequence as it is read, and keeps none: a
+    # second read builds them all again
     assert len(list(res.witnesses)) == len(built) == 6656
     list(res.witnesses)
-    assert len(built) == 6656
+    assert len(built) == 2 * 6656
+
+
+def _reachable(obj):
+    # every object reachable from obj's attributes, without descending into
+    # classes or modules
+    seen, stack = set(), list(vars(obj).values())
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        yield x
+        stack += gc.get_referents(x)
+
+
+@pytest.mark.parametrize("moduli, A", [
+    ((30,), {1, 29}),
+    ((3, 3), {1, 2}),   # coordinate-tuple elements
+    ((10,), {1}),       # one-member classes
+])
+def test_witness_reads(moduli, A):
+    found = exact_davenport(moduli, A).witnesses
+    listed = list(found)
+    assert len(listed) == len(found) > 3
+    assert [w.elements for w in listed] == sorted(w.elements for w in listed)
+    assert found[0] == listed[0] and found[-1] == listed[-1]
+    assert found[1:4] == tuple(listed[1:4])
+    assert found[::-2] == tuple(listed[::-2])
+    assert all(type(w) is ZSequence and w.moduli == moduli for w in listed)
+    again = exact_davenport(moduli, A).witnesses
+    assert again == found and hash(again) == hash(found)
+    other = exact_davenport(moduli, {1} if A == {1, 2} else {1, 2}).witnesses
+    assert other != found
+    # the list keeps element tuples, not the sequences it handed out
+    assert not any(isinstance(x, ZSequence) for x in _reachable(found))
+
+
+def test_zsequence_copies_and_pickles():
+    # ZSequence is a frozen slotted dataclass, a combination some Python
+    # versions have failed to pickle or copy
+    seqs = [ZSequence(12, [14, 3, -1]), ZSequence((3, 4), [(2, 5), (4, 0)]),
+            exact_davenport(30, {1, 29}).witnesses[17],
+            exact_davenport((3, 3), {1, 2}).witnesses[-1]]
+    for S in seqs:
+        copies = [copy.copy(S), copy.deepcopy(S)]
+        copies += [pickle.loads(pickle.dumps(S, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for T in copies:
+            assert type(T) is ZSequence
+            assert T == S and hash(T) == hash(S)
+            assert (T.moduli, T.elements) == (S.moduli, S.elements)
 
 
 def test_trusted_constructor_builds_checked_sequences():

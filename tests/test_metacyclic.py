@@ -455,7 +455,7 @@ def test_classification_nodes_on_the_bench_specs():
     # that prune exactly
     specs = ((12, 5), (12, 7), (14, 13), (15, 4), (16, 7))
     nodes = sum(classify_extremal(GroupSpec(n, s), n).nodes for n, s in specs)
-    assert nodes == 8_805
+    assert nodes == 8_669
 
 
 def test_classification_20_11_stays_pruned():
@@ -598,6 +598,33 @@ def test_slot_capacity_counts_realized_products():
                     assert (state & rep).bit_count() <= realized, (n, s, chain)
                     checked += 1
     assert checked > 7000
+
+
+def test_slot_capacity_keeps_plain_products_past_a_reflection():
+    # the nonzero y^v counted in lanes 0 and 2 only grow along a chain: the
+    # first reflection after a plain prefix clears lane 0, and its sums must
+    # move to lane 2, as the chain still realizes them
+    crossings = 0
+    for n in range(3, 11):
+        for s in [s for s in range(n) if s * s % n == 1]:
+            fold, forms, _, _ = _slot_space(n, s)
+            nonzero = (1 << n) - 2
+            rng = random.Random(n * 10 + s)
+            for _ in range(50):
+                state, last, powers = 0, 0, 0
+                while True:
+                    free = [i for i in range(last, len(forms))
+                            if not state & forms[i][0]]
+                    if not free:
+                        break
+                    last = rng.choice(free)
+                    eps = forms[last][1][0]
+                    crossings += eps and state & nonzero != 0
+                    state = fold(state, forms[last][1])
+                    grown = (state | state >> 2 * n) & nonzero
+                    assert grown & powers == powers, (n, s)
+                    powers = grown
+    assert crossings > 300
 
 
 def test_small_davenport_budget_exhaustion():
