@@ -354,15 +354,17 @@ def _slot_space(n, s):
     products y^v of an even, nonzero number of reflections, and from the
     first reflection on also the plain ones: a reflection append moves lane
     0's nonzero sums into lane 2 as it clears lane 0, so the plain products
-    the chain still realizes keep counting.  Each y^v thus counts in one
-    lane, and v = 0, the identity, in neither.  Lane 4 (kind 2, balance +1)
-    holds the a-parts v of the products x y^v, none the identity.  Every
-    other sum in lanes 2 and 4 is the a-part of a product of the chain by
-    _SlotSums' ordering rule for balances 0 and +1, and lane 0's sums are
-    products of commuting plain elements.  The moved sums change no
-    transition: after a reflection only reflections follow, whose appends
-    read lane 2 together with lane 1, and lane 1 already holds every plain
-    sum of lane 0; a reflection's probe reads lanes 0 and 4, never lane 2.
+    the chain still realizes keep counting.  Only the first reflection after
+    a plain prefix finds lane 0 nonempty, so the others skip the move.  Each
+    y^v thus counts in one lane, and v = 0, the identity, in neither.  Lane
+    4 (kind 2, balance +1) holds the a-parts v of the products x y^v, none
+    the identity.  Every other sum in lanes 2 and 4 is the a-part of a
+    product of the chain by _SlotSums' ordering rule for balances 0 and +1,
+    and lane 0's sums are products of commuting plain elements.  The moved
+    sums change no transition: after a reflection only reflections follow,
+    whose appends read lane 2 together with lane 1, and lane 1 already holds
+    every plain sum of lane 0; a reflection's probe reads lanes 0 and 4,
+    never lane 2.
     """
     slots = _slot_sums(n, s)
     append, empty = slots.append, slots.empty
@@ -377,7 +379,7 @@ def _slot_space(n, s):
 
     def fold(state, arg):
         eps, v = arg
-        if eps:
+        if eps and state & lane0:
             base = state & drop_kind0 | (state & nonzero) << to_lane2
         else:
             base = state

@@ -8,8 +8,9 @@ plain bit rotation; for products it rotates each coordinate through
 precomputed masks.
 
 _Grid owns the element format (an int for Z_n, a coordinate tuple for a
-product, weight entries alike): past input validation and the oracle, code
-here and in davenport reaches elements only through its methods.
+product, weight entries alike): _as_element brings every element and weight
+from outside to it, and past that and the oracle, code here and in davenport
+reaches elements only through _Grid's methods.
 
 Certificates come from the same fold: extract_certificate layers it by pick
 count, so a shortest zero sum is found and read back without recursion, at
@@ -139,6 +140,19 @@ def _grid(moduli):
     return _Grid(moduli)
 
 
+def _as_element(x, moduli, name):
+    """x, an element or weight entry from outside, in _Grid's format, each
+    coordinate checked by the integer rule and reduced; a non-tuple stands
+    for (x,).  It builds no grid, so the oracle can use it at any size."""
+    if type(x) is int and len(moduli) == 1:
+        return x % moduli[0]
+    vec = x if isinstance(x, tuple) else (x,)
+    if len(vec) != len(moduli):
+        raise ValueError(f"{name} {x!r} does not fit moduli {moduli}")
+    vec = tuple(_integer(v, name) % m for v, m in zip(vec, moduli))
+    return vec[0] if len(vec) == 1 else vec
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class ZSequence:
     """A finite multiset over Z_n (rank one) or a product of cyclic groups.
@@ -152,23 +166,7 @@ class ZSequence:
 
     def __init__(self, moduli, elements):
         moduli = _as_moduli(moduli)
-        rank = len(moduli)
-        elems = []
-        for x in elements:
-            if rank == 1:
-                if isinstance(x, tuple):
-                    if len(x) != 1:
-                        raise ValueError(f"element {x!r} does not fit rank 1")
-                    x = x[0]
-                elems.append(_integer(x, "element") % moduli[0])
-            else:
-                if not isinstance(x, tuple) or len(x) != rank:
-                    raise ValueError(
-                        f"element {x!r} does not fit moduli {moduli}"
-                    )
-                elems.append(
-                    tuple(_integer(v, "element") % m for v, m in zip(x, moduli)))
-        elems.sort()
+        elems = sorted(_as_element(x, moduli, "element") for x in elements)
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "elements", tuple(elems))
 
@@ -208,14 +206,8 @@ _set_elements = ZSequence.elements.__set__
 
 
 def _as_entry(w, moduli):
-    rank = len(moduli)
-    if isinstance(w, tuple):
-        if len(w) != rank:
-            raise ValueError(f"weight {w!r} does not fit moduli {moduli}")
-        vec = tuple(_integer(x, "weight") % m for x, m in zip(w, moduli))
-    else:
-        vec = tuple(_integer(w, "weight") % m for m in moduli)
-    return vec[0] if rank == 1 else vec
+    w = w if isinstance(w, tuple) else (w,) * len(moduli)
+    return _as_element(w, moduli, "weight")
 
 
 def _weight_entries(weights, moduli):
@@ -251,6 +243,7 @@ class ReachableSet:
     bits: int
 
     def __contains__(self, value):
+        value = _as_element(value, self.moduli, "element")
         return bool((self.bits >> _grid(self.moduli).code(value)) & 1)
 
     def __len__(self):

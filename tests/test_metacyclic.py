@@ -603,15 +603,16 @@ def test_slot_capacity_counts_realized_products():
 def test_slot_capacity_keeps_plain_products_past_a_reflection():
     # the nonzero y^v counted in lanes 0 and 2 only grow along a chain: the
     # first reflection after a plain prefix clears lane 0, and its sums must
-    # move to lane 2, as the chain still realizes them
-    crossings = 0
-    for n in range(3, 11):
+    # move to lane 2, as the chain still realizes them.  Lane 0 stays empty
+    # from then on, so later reflections need not move it
+    crossings = after = 0
+    for n in range(3, 13):
         for s in [s for s in range(n) if s * s % n == 1]:
             fold, forms, _, _ = _slot_space(n, s)
             nonzero = (1 << n) - 2
             rng = random.Random(n * 10 + s)
-            for _ in range(50):
-                state, last, powers = 0, 0, 0
+            for _ in range(100):
+                state, last, powers, reflected = 0, 0, 0, False
                 while True:
                     free = [i for i in range(last, len(forms))
                             if not state & forms[i][0]]
@@ -624,7 +625,12 @@ def test_slot_capacity_keeps_plain_products_past_a_reflection():
                     grown = (state | state >> 2 * n) & nonzero
                     assert grown & powers == powers, (n, s)
                     powers = grown
+                    reflected = reflected or eps
+                    if reflected:
+                        assert state & (1 << n) - 1 == 0, (n, s)
+                        after += 1
     assert crossings > 300
+    assert after > 5000
 
 
 def test_small_davenport_budget_exhaustion():

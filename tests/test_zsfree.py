@@ -15,6 +15,7 @@ from davlab.zsfree import (
     brute_force_oracle,
     extract_certificate,
     _grid,
+    _weight_entries,
     has_weighted_zero_sum,
     reachable_sums,
 )
@@ -28,12 +29,86 @@ def test_zsequence_canonical_storage():
     assert S.n == 12
     assert len(S) == 4
     assert list(S) == [2, 3, 3, 11]
-    for moduli, bad in ((12, 1.5), (12, True), ((3, 4), (1, 1.5))):
+    for moduli, bad in ((12, 1.5), (12, True), ((3, 4), (1, 1.5)),
+                        (12, "1"), (12, (True,)), (12, (1, 2)), (12, ()),
+                        ((3, 4), 5), ((3, 4), (1,)), ((3, 4), (1, True)),
+                        ((3, 4), [1, 2]), ((3, 4), (1, 2, 3))):
         with pytest.raises(ValueError):
             ZSequence(moduli, [bad])
-    for weights in ([1.5], [True], [(0.5,)]):
+    for weights in ([1.5], [True], [(0.5,)], ["1"], [(1, 2)], [12], [(24,)],
+                    [1, 0]):
         with pytest.raises(ValueError):
             has_weighted_zero_sum(ZSequence(12, [5]), weights)
+    for weights in ([(1, 2, 3)], [(1,)], [(1, False)], [2.0], [12], [(3, 8)]):
+        with pytest.raises(ValueError):
+            has_weighted_zero_sum(ZSequence((3, 4), [(1, 1)]), weights)
+    with pytest.raises(ValueError, match=r"does not fit moduli \(12,\)"):
+        ZSequence(12, [(1, 2)])
+
+
+def _naive_element(x, moduli):
+    if len(moduli) == 1:
+        return (x[0] if isinstance(x, tuple) else x) % moduli[0]
+    return tuple(v % m for v, m in zip(x, moduli))
+
+
+def _naive_entries(weights, moduli):
+    vecs = {tuple(v % m for v, m in zip(w if isinstance(w, tuple)
+                                         else [w] * len(moduli), moduli))
+            for w in weights}
+    return tuple(sorted(v[0] if len(moduli) == 1 else v for v in vecs))
+
+
+def test_element_and_weight_reduction_matches_naive():
+    # ints, 1-tuples, negative and large coordinates over Z_n, and
+    # coordinate tuples over products: stored elements and weight entries
+    # are the coordinates reduced, elements sorted, entries deduplicated
+    rng = random.Random(0xE1E7)
+
+    def coordinate():
+        return rng.choice((rng.randint(-200, 200),
+                           rng.randint(-10 ** 30, 10 ** 30)))
+
+    def draw(moduli):
+        if len(moduli) == 1:
+            return rng.choice((coordinate(), (coordinate(),)))
+        return tuple(coordinate() for _ in moduli)
+
+    groups = [(n,) for n in range(2, 61)] + [(3, 3), (2, 4), (4, 6)] * 10
+    inputs = 0
+    for moduli in groups:
+        zero = _naive_entries([0], moduli)
+        for _ in range(8):
+            elems = [draw(moduli) for _ in range(rng.randint(0, 6))]
+            S = ZSequence(moduli, elems)
+            assert S.elements == tuple(sorted(
+                _naive_element(x, moduli) for x in elems))
+            # a weight acting as zero is rejected, which the test above
+            # checks
+            weights = [rng.choice((coordinate(), draw(moduli)))
+                       for _ in range(rng.randint(1, 4))]
+            weights = [w for w in weights
+                       if _naive_entries([w], moduli) != zero]
+            if weights:
+                assert _weight_entries(weights, moduli) == _naive_entries(
+                    weights, moduli)
+            inputs += len(elems) + len(weights)
+    assert inputs >= 2000
+
+
+def test_reachable_set_membership_reduces_its_value():
+    R = reachable_sums(ZSequence((3, 3), [(1, 1), (0, 2)]), {1})
+    assert (1, 1) in R and (4, -2) in R and (0, 0) not in R
+    for bad in ((1,), (1, 1, 1), 1, [1, 1], (1, True)):
+        with pytest.raises(ValueError):
+            bad in R
+    R = reachable_sums(ZSequence(12, [1, 2]), {1})
+    for y in range(-30, 31):
+        assert (y in R) == ((y,) in R) == (y % 12 in (1, 2, 3))
+    assert ((3,) in R) == (15 in R) == (3 in R)
+    for bad in (True, 2.0, (1, 2), "3", (False,)):
+        with pytest.raises(ValueError):
+            bad in R
 
 
 def test_zsequence_product_group():
