@@ -1,10 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 usage or validation problem, 3 budget exhausted
-(partial rows are still emitted), 4 an exact value escaped its closed-form
-bracket.  Thread count changes only wall time for a search that finishes
-inside its wall-clock budget; where that budget cuts a search depends on
-scheduling.  See SearchBudget.
+(partial rows are still emitted, with a stderr note), 4 an exact value
+escaped its closed-form bracket.  The command class _Command enforces
+them: it maps the library's errors to codes 2 and 4, and every command
+ends a truncated run through _emit, which prints the note and exits 3.
+
+Thread count changes only wall time for a search that finishes inside its
+wall-clock budget; where that budget cuts a search depends on scheduling.
+See SearchBudget.
 """
 
 import contextlib
@@ -56,12 +60,9 @@ def _default_seconds():
 
 def _budget(threads, max_nodes, budget_seconds):
     seconds = budget_seconds if budget_seconds is not None else _default_seconds()
-    try:
-        return SearchBudget(
-            max_nodes=max_nodes, max_seconds=seconds, parallel_width=threads
-        )
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    return SearchBudget(
+        max_nodes=max_nodes, max_seconds=seconds, parallel_width=threads
+    )
 
 
 def parse_weight_family(n, text):
@@ -125,25 +126,32 @@ def _render(rows, columns, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _emit(rows, columns, fmt, output):
+def _emit(rows, columns, fmt, output, cut=None):
+    """Write the rows to stdout, or atomically to the file output.  A search
+    cut short passes cut, the tail of its stderr note: the note goes out
+    first, then the rows, and the run exits 3."""
+    if cut:
+        click.echo(f"search truncated; {cut}", err=True)
     text = _render(rows, columns, fmt)
     if output is None:
         click.echo(text, nl=False)
-        return
-    # Write-then-rename so readers never observe a half-written file.
-    directory = os.path.dirname(os.path.abspath(output))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".davlab-")
+    else:
+        # Write-then-rename so readers never observe a half-written file.
+        directory = os.path.dirname(os.path.abspath(output))
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, output)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as e:
-        raise click.FileError(output, hint=e.strerror) from None
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".davlab-")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp, output)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as e:
+            raise click.FileError(output, hint=e.strerror) from None
+    if cut:
+        sys.exit(3)
 
 
 def _format_options(fn):
@@ -179,9 +187,27 @@ def _budget_options(fn):
     )(fn)
 
 
+class _Command(click.Command):
+    """A subcommand whose library errors become exit codes: a ValueError or
+    TooLargeError is a usage error (2) that shows this subcommand's usage,
+    and a BoundViolationError exits 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, TooLargeError) as e:
+            raise click.UsageError(str(e), ctx)
+        except BoundViolationError as e:
+            click.echo(f"bound violation: {e}", err=True)
+            sys.exit(4)
+
+
 @click.group()
 def cli():
     """Weighted zero-sum constants over Z_n and product-one-free sequences."""
+
+
+cli.command_class = _Command
 
 
 @cli.command("involutions")
@@ -189,22 +215,15 @@ def cli():
 @_format_options
 def involutions_cmd(n, fmt, output):
     """List nontrivial square roots of 1 mod n and their preferred splits."""
-    try:
-        roots = involutions(n)
-    except ValueError as e:
-        raise click.UsageError(str(e))
     rows = []
-    for s in roots:
+    for s in involutions(n):
         try:
             split = crt_split(n, s)
             rows.append(
                 {"n": n, "s": s, "n1": split.n1, "n2": split.n2, "status": "ok"}
             )
         except NoValidSplitError:
-            rows.append(
-                {"n": n, "s": s, "n1": None, "n2": None,
-                 "status": "no_valid_split"}
-            )
+            rows.append({"n": n, "s": s, "status": "no_valid_split"})
     _emit(rows, ["n", "s", "n1", "n2", "status"], fmt, output)
 
 
@@ -218,7 +237,7 @@ def table_cmd(n_max, with_exact, threads, max_nodes, budget_seconds, fmt, output
     """Bracket table over all (n, s) with a valid split, n up to --n-max."""
     budget = _budget(threads, max_nodes, budget_seconds)
     rows = []
-    exceeded = False
+    cut = None
     for n in range(2, n_max + 1):
         for s in involutions(n):
             try:
@@ -227,21 +246,17 @@ def table_cmd(n_max, with_exact, threads, max_nodes, budget_seconds, fmt, output
                 continue
             row = {
                 "n": n, "s": s, "n1": bracket.n1, "n2": bracket.n2,
-                "lower": bracket.lower, "exact": None, "upper": bracket.upper,
+                "lower": bracket.lower, "upper": bracket.upper,
             }
             if with_exact:
                 try:
                     row["exact"] = verify_sandwich(n, s, budget).exact
                 except BudgetExceededError as e:
                     row["exact"] = f">={e.partial.exact}"
-                    exceeded = True
-                except BoundViolationError as e:
-                    click.echo(f"bound violation: {e}", err=True)
-                    sys.exit(4)
+                    cut = "exact cells marked >= are lower estimates"
             rows.append(row)
-    _emit(rows, ["n", "s", "n1", "n2", "lower", "exact", "upper"], fmt, output)
-    if exceeded:
-        sys.exit(3)
+    _emit(rows, ["n", "s", "n1", "n2", "lower", "exact", "upper"], fmt,
+          output, cut)
 
 
 @cli.command("exact")
@@ -259,15 +274,8 @@ def exact_cmd(n, weights_text, with_witnesses, threads, max_nodes,
         raise click.UsageError(f"need n >= 2, got {n}")
     weight_set = parse_weight_family(n, weights_text)
     budget = _budget(threads, max_nodes, budget_seconds)
-    row = {
-        "n": n,
-        "weights": "|".join(str(w) for w in weight_set),
-        "constant": None,
-        "exhaustive": None,
-        "witness_count": None,
-        "witnesses": None,
-    }
-    exceeded = False
+    row = {"n": n, "weights": "|".join(str(w) for w in weight_set)}
+    cut = None
     try:
         res = exact_davenport(n, weight_set, budget)
         row["constant"] = res.constant
@@ -280,17 +288,12 @@ def exact_cmd(n, weights_text, with_witnesses, threads, max_nodes,
     except BudgetExceededError as e:
         row["constant"] = f">={e.partial.constant}"
         row["exhaustive"] = False
-        exceeded = True
-        click.echo("search truncated; the constant is a lower estimate", err=True)
-    except TooLargeError as e:
-        raise click.UsageError(str(e))
+        cut = "the constant is a lower estimate"
     _emit(
         [row],
         ["n", "weights", "constant", "exhaustive", "witness_count", "witnesses"],
-        fmt, output,
+        fmt, output, cut,
     )
-    if exceeded:
-        sys.exit(3)
 
 
 @cli.command("classify")
@@ -301,20 +304,13 @@ def exact_cmd(n, weights_text, with_witnesses, threads, max_nodes,
 @_format_options
 def classify_cmd(n, s, length, threads, max_nodes, budget_seconds, fmt, output):
     """All product-one-free sequences of one length in C_n : C_2."""
-    try:
-        spec = GroupSpec(n, s)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    spec = GroupSpec(n, s)
     budget = _budget(threads, max_nodes, budget_seconds)
-    exceeded = False
+    cut = None
     try:
         report = classify_extremal(spec, length, budget)
-    except ValueError as e:
-        raise click.UsageError(str(e))
     except BudgetExceededError as e:
-        report = e.partial
-        exceeded = True
-        click.echo("search truncated; the listing may be incomplete", err=True)
+        report, cut = e.partial, "the listing may be incomplete"
     rows = [
         {"family": "claimed", "sequence": format_sequence(seq)}
         for seq in report.claimed
@@ -323,9 +319,7 @@ def classify_cmd(n, s, length, threads, max_nodes, budget_seconds, fmt, output):
         {"family": "other", "sequence": format_sequence(seq)}
         for seq in report.other
     ]
-    _emit(rows, ["family", "sequence"], fmt, output)
-    if exceeded:
-        sys.exit(3)
+    _emit(rows, ["family", "sequence"], fmt, output, cut)
 
 
 def main():
@@ -336,9 +330,6 @@ def main():
     except click.ClickException as e:
         e.show()
         sys.exit(max(e.exit_code, 2))
-    except BoundViolationError as e:
-        click.echo(f"bound violation: {e}", err=True)
-        sys.exit(4)
     except DavlabError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)

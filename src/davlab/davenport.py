@@ -511,13 +511,13 @@ def exact_davenport(n, weights, budget=None, collect_witnesses=True):
     max_len, witnesses, nodes, exhaustive = _search(
         moduli, entries, budget, collect_witnesses
     )
+    result = ExactResult(max_len + 1, max_len, witnesses, exhaustive, nodes)
     if not exhaustive:
-        partial = ExactResult(max_len + 1, max_len, None, False, nodes)
         raise BudgetExceededError(
             f"search budget exhausted; constant is at least {max_len + 1}",
-            partial=partial,
+            partial=result,
         )
-    return ExactResult(max_len + 1, max_len, witnesses, True, nodes)
+    return result
 
 
 def exact_davenport_k(n, weights, k, budget=None, collect_witnesses=True):
@@ -557,23 +557,23 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
 
 
 def zero_sum_free_sequences(n, weights, length):
-    """Yield every zero-sum-free sequence of the given length, in sorted
-    element order, smallest first: the engine's chains of classes of that
-    length, closed under units and expanded.  A search cut off by the
-    default SearchBudget or the recursion limit raises BudgetExceededError
-    before anything is yielded."""
+    """An iterator over every zero-sum-free sequence of the given length, in
+    sorted element order, smallest first: the engine's chains of classes of
+    that length, closed under units and expanded.  The arguments are checked
+    and the search runs at the call, so bad input raises ValueError and a
+    search cut off by the default SearchBudget or the recursion limit raises
+    BudgetExceededError there."""
     moduli = _checked_moduli(n)
     _integer(length, "length", 0)
     entries = _weight_entries(weights, moduli)
     if length == 0:
-        yield ZSequence(moduli, ())
-        return
+        return iter((ZSequence(moduli, ()),))
     _, found, nodes, exhaustive = _search(
         moduli, entries, SearchBudget(), True, length)
     if not exhaustive:
         raise BudgetExceededError(
             f"listing of length {length} cut off after {nodes} nodes")
-    yield from found
+    return iter(found)
 
 
 @dataclass(frozen=True)
@@ -598,27 +598,20 @@ def verify_sandwich(n, s, budget=None):
     """
     row = table_row(n, s)
     lo, hi = row.lower, row.upper
+    cut = None
     try:
         res = exact_davenport(
             n, WeightSet(n, (1, s)), budget, collect_witnesses=False
         )
     except BudgetExceededError as e:
-        partial = e.partial
-        if partial.constant > hi:
-            raise BoundViolationError(
-                f"lower estimate {partial.constant} exceeds the upper bound "
-                f"{hi} for (n={n}, s={s})"
-            ) from None
-        report = SandwichReport(
-            n, s, row.n1, row.n2, lo, partial.constant, hi, False,
-            partial.nodes,
-        )
-        raise BudgetExceededError(str(e), partial=report) from None
-    if not lo <= res.constant <= hi:
-        raise BoundViolationError(
-            f"exact constant {res.constant} escapes [{lo}, {hi}] "
-            f"for (n={n}, s={s})"
-        )
-    return SandwichReport(
-        n, s, row.n1, row.n2, lo, res.constant, hi, True, res.nodes
-    )
+        res, cut = e.partial, e
+    if res.constant > hi or res.exhaustive and res.constant < lo:
+        what = (f"exact constant {res.constant} escapes [{lo}, {hi}]"
+                if res.exhaustive else f"lower estimate {res.constant} "
+                f"exceeds the upper bound {hi}")
+        raise BoundViolationError(f"{what} for (n={n}, s={s})")
+    report = SandwichReport(n, s, row.n1, row.n2, lo, res.constant, hi,
+                            res.exhaustive, res.nodes)
+    if cut is not None:
+        raise BudgetExceededError(str(cut), partial=report)
+    return report

@@ -96,7 +96,7 @@ class WeightSet:
         return len(self.weights)
 
     def __contains__(self, w):
-        return (w % self.n) in self.weights
+        return _integer(w, "weight") % self.n in self.weights
 
 
 def quadratic_residue_weights(n):

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import sys
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -110,6 +111,18 @@ def test_table_bound_violation_exits_4(monkeypatch):
     res = run(["table", "--n-max", "12", "--exact"])
     assert res.exit_code == 4
     assert "bound violation" in res.stderr
+
+
+def test_table_truncation_exits_3_with_a_note():
+    # the rows, with their ">=" cells, byte for byte as they were before the
+    # table printed a note
+    res = run(["table", "--n-max", "40", "--exact", "--max-nodes", "200"])
+    assert res.exit_code == 3
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+        "a2f8730f5186aa0abd1ad6be26eab7172a1f760f26f9c97f44b272ea998dd756")
+    assert ">=" in res.stdout
+    assert res.stderr == (
+        "search truncated; exact cells marked >= are lower estimates\n")
 
 
 # ---------------------------------------------------------------------- exact
@@ -276,9 +289,58 @@ def test_output_file_matches_stdout(tmp_path):
 def run_main(monkeypatch, capsys, args):
     """main() as the console script runs it: (exit code, stderr)."""
     monkeypatch.setattr(sys, "argv", ["davlab", *args])
+    # a script's __main__ has no package, so click names the program
+    # "davlab" however pytest itself was started
+    monkeypatch.setitem(sys.modules, "__main__", types.ModuleType("__main__"))
     with pytest.raises(SystemExit) as exc:
         main()
     return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["exact", "--n", "5000", "--weights", "one"],
+     "dcb2d03b92e5a5b1f6a01bae5cb0962d854d9fe1a3823c1ef2bfcbf66c780927"),
+    (["classify", "--n", "12", "--s", "3", "--length", "5"],
+     "f53331cdabe1e3a51c80f1dc2d71b6384efdad8db21f553c9a3002a183e1b6ff"),
+    (["classify", "--n", "2", "--s", "1", "--length", "1"],
+     "3c063b70bca99c7e52064f399c52eedc7be2f9ed69b02b2b4b07178cffcce998"),
+    (["classify", "--n", "12", "--s", "5", "--length", "40"],
+     "e541e9dbe6bf7e3a6267a72b06bb29427b1526ca7e0d04f586112e4a8a3c2a3f"),
+    (["involutions", "--n", "1"],
+     "bc40ac87a3590f3ce6425b572e2322ed52d9e4ee9b46a5486044dc3717137163"),
+    (["exact", "--n", "12", "--weights", "pm1", "--threads", "0"],
+     "58a23946966abf89308048bbe451c71c5e935664e2762b7554add318153881c2"),
+    (["exact", "--n", "12", "--weights", "pm1", "--max-nodes", "0"],
+     "7da8bdb9c61535ad6a10572776906b1e65c5fda50570866950ed20297b994dd1"),
+    (["exact", "--n", "12", "--weights", "pm1", "--budget-seconds", "-1"],
+     "dfcad7e4a5c4ac21bad6c62fd173402d9189f01ec870f3a9bc76090502f1879b"),
+    (["exact", "--n", "1", "--weights", "one"],
+     "23d20a5fdf5712b57dd304145652a19f7df7c8c527f1a3b63cbd87a09319c785"),
+    (["exact", "--n", "12", "--weights", "bogus"],
+     "e5c45177fdc8db76a406fa8332683f84fe15f1119db8488c173503260242c560"),
+])
+def test_usage_errors_alike_in_runner_and_main(args, digest, monkeypatch,
+                                               capsys):
+    # each rejected input exits 2 with the subcommand's usage lines, and
+    # CliRunner and the console script print the same bytes; the digests
+    # pin those bytes (TooLargeError, the library's ValueErrors, the
+    # SearchBudget checks and the command bodies' own usage errors)
+    res = CliRunner().invoke(cli, args, prog_name="davlab")
+    code, err = run_main(monkeypatch, capsys, args)
+    assert (code, err) == (res.exit_code, res.stderr)
+    assert code == 2
+    assert err.startswith(f"Usage: davlab {args[0]} [OPTIONS]\n")
+    assert hashlib.sha256(err.encode()).hexdigest() == digest
+
+
+def test_bound_violation_alike_in_runner_and_main(monkeypatch, capsys):
+    monkeypatch.setattr(davlab.bounds, "upper_bound", lambda split: 3)
+    args = ["table", "--n-max", "12", "--exact"]
+    res = run(args)
+    assert run_main(monkeypatch, capsys, args) == (res.exit_code, res.stderr)
+    assert res.exit_code == 4
+    assert res.stderr == ("bound violation: exact constant 5 escapes [5, 3] "
+                          "for (n=12, s=5)\n")
 
 
 def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):

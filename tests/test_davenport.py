@@ -608,6 +608,25 @@ def test_deep_chain_ends_as_truncation():
     assert 100 < partial.constant <= 400
 
 
+def test_listing_raises_at_the_call():
+    # the arguments are checked and the search runs when the listing is
+    # asked for, not at its first next()
+    for args in ((5, {1}, -1), (5, {1.5}, 2), (5, {1}, 2.0), (1, {1}, 2)):
+        with pytest.raises(ValueError):
+            zero_sum_free_sequences(*args)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        with pytest.raises(BudgetExceededError):
+            zero_sum_free_sequences(400, {1}, 399)
+    finally:
+        sys.setrecursionlimit(old)
+    found = zero_sum_free_sequences(5, {1}, 4)
+    assert iter(found) is found
+    assert [S.elements for S in found] == [(1,) * 4, (2,) * 4, (3,) * 4,
+                                           (4,) * 4]
+
+
 def test_truncated_listing_raises():
     # the listing runs on the same engine, so a chain deeper than the
     # recursion limit cuts it off too; it must raise rather than yield a
@@ -778,6 +797,21 @@ def test_sandwich_flags_violations(monkeypatch):
     monkeypatch.setattr(davlab.bounds, "upper_bound", lambda split: 3)
     with pytest.raises(BoundViolationError):
         verify_sandwich(12, 7)
+
+
+def test_sandwich_violation_messages(monkeypatch):
+    # an exhaustive value outside the bracket and a cut search's lower
+    # estimate above it each raise with their own message
+    import davlab.bounds
+
+    monkeypatch.setattr(davlab.bounds, "upper_bound", lambda split: 3)
+    with pytest.raises(BoundViolationError) as err:
+        verify_sandwich(12, 7)
+    assert str(err.value) == "exact constant 7 escapes [6, 3] for (n=12, s=7)"
+    with pytest.raises(BoundViolationError) as err:
+        verify_sandwich(28, 15, SearchBudget(max_nodes=30))
+    assert str(err.value) == (
+        "lower estimate 15 exceeds the upper bound 3 for (n=28, s=15)")
 
 
 def test_sandwich_budget_exhaustion_keeps_bracket():

@@ -239,3 +239,7 @@ def test_weightset_normalization():
     for bad in (1.5, True, "1"):
         with pytest.raises(ValueError):
             WeightSet(12, [1, bad])
+    # membership follows the integer rule too
+    for bad in (2.0, True, 5.0):
+        with pytest.raises(ValueError):
+            bad in WeightSet(12, (1, 5))
