@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 2 usage or validation problem, 3 budget exhausted
 (partial rows are still emitted, with a stderr note), 4 an exact value
-escaped its closed-form bracket.  The command class _Command enforces
-them: it maps the library's errors to codes 2 and 4, and every command
-ends a truncated run through _emit, which prints the note and exits 3.
+escaped its closed-form bracket, 130 an interrupt.  The command class
+_Command enforces them: it maps the library's errors to codes 2 and 4 and
+an interrupt to 130, and every command ends through _emit, which exits 2
+when it cannot write --output and ends a truncated run with the note and 3.
+The console script main is click's standalone run of cli, the same path
+that click's CliRunner takes, so both give the same codes and stderr.
 
 Thread count changes only wall time for a search that finishes inside its
 wall-clock budget; where that budget cuts a search depends on scheduling.
@@ -26,7 +29,6 @@ from .davenport import SearchBudget, exact_davenport, verify_sandwich
 from .errors import (
     BoundViolationError,
     BudgetExceededError,
-    DavlabError,
     NoValidSplitError,
     TooLargeError,
 )
@@ -126,6 +128,12 @@ def _render(rows, columns, fmt):
     return "\n".join(lines) + "\n"
 
 
+class _OutputError(click.FileError):
+    """An --output file that cannot be written: a usage problem, exit 2."""
+
+    exit_code = 2
+
+
 def _emit(rows, columns, fmt, output, cut=None):
     """Write the rows to stdout, or atomically to the file output.  A search
     cut short passes cut, the tail of its stderr note: the note goes out
@@ -149,7 +157,7 @@ def _emit(rows, columns, fmt, output, cut=None):
                     os.unlink(tmp)
                 raise
         except OSError as e:
-            raise click.FileError(output, hint=e.strerror) from None
+            raise _OutputError(output, hint=e.strerror) from None
     if cut:
         sys.exit(3)
 
@@ -190,7 +198,7 @@ def _budget_options(fn):
 class _Command(click.Command):
     """A subcommand whose library errors become exit codes: a ValueError or
     TooLargeError is a usage error (2) that shows this subcommand's usage,
-    and a BoundViolationError exits 4."""
+    a BoundViolationError exits 4 and an interrupt 130."""
 
     def invoke(self, ctx):
         try:
@@ -200,6 +208,9 @@ class _Command(click.Command):
         except BoundViolationError as e:
             click.echo(f"bound violation: {e}", err=True)
             sys.exit(4)
+        except KeyboardInterrupt:
+            click.echo(err=True)  # end the ^C line, as click does
+            sys.exit(130)
 
 
 @click.group()
@@ -322,17 +333,7 @@ def classify_cmd(n, s, length, threads, max_nodes, budget_seconds, fmt, output):
     _emit(rows, ["family", "sequence"], fmt, output, cut)
 
 
-def main():
-    try:
-        cli(standalone_mode=False)
-    except click.exceptions.Abort:
-        sys.exit(130)
-    except click.ClickException as e:
-        e.show()
-        sys.exit(max(e.exit_code, 2))
-    except DavlabError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+main = cli  # the console script
 
 
 if __name__ == "__main__":

@@ -109,18 +109,20 @@ class _Witnesses(Sequence):
     product of C(|class| + k - 1, k), with nothing built.  The first read
     expands every core into one sorted list of element tuples, the only
     thing kept; iteration and indexing build each ZSequence from it as they
-    hand it out, and keep none.
+    hand it out, and keep none.  gens are the search's _scalings.
     """
 
-    def __init__(self, moduli, members, cores):
+    def __init__(self, moduli, members, cores, gens):
         self._moduli = moduli
         self._members = members
         self._cores = cores
+        self._gens = gens
         self._found = None
 
     def _expand(self, core):
+        # a core is nondecreasing, so Counter lists its classes ascending
         pools = [combinations_with_replacement(self._members[i], k)
-                 for i, k in sorted(Counter(core).items())]
+                 for i, k in Counter(core).items()]
         for pick in iter_product(*pools):
             yield tuple(sorted(sum(pick, ())))
 
@@ -129,6 +131,26 @@ class _Witnesses(Sequence):
             self._found = tuple(sorted(
                 e for core in self._cores for e in self._expand(core)))
         return self._found
+
+    def _reduced(self):
+        """One sequence per orbit of the unit scalings, each the least image
+        under every unit, sorted; mixed moduli have none and give self.  One
+        core per orbit of gens expands, as a unit u maps the expansions of
+        core c one-to-one onto those of u*c."""
+        if len(set(self._moduli)) != 1:
+            return self
+        grid = _grid(self._moduli)
+        # one lookup per unit u: usable element x -> u*x
+        scale = [{x: grid.element(grid.times(u, x)) for xs in self._members
+                  for x in xs}.__getitem__ for u in units(self._moduli[0])]
+        seen, reps = set(), set()
+        for core in self._cores:
+            if core in seen:
+                continue
+            seen |= _orbit(self._gens, core)
+            for e in self._expand(core):
+                reps.add(tuple(min(map(sorted, map(map, scale, repeat(e))))))
+        return tuple(ZSequence._of(self._moduli, e) for e in sorted(reps))
 
     def __len__(self):
         return sum(prod(comb(len(self._members[i]) + k - 1, k)
@@ -473,12 +495,13 @@ def _run_branch(args):
 def _search(moduli, entries, budget, collect, length=None):
     # never empty: the all-ones element has the weights, none zero, as images
     forms, members = zip(*_prepare_candidates(moduli, entries))
+    gens = _scalings(moduli, members)
     max_len, cores, nodes, exhaustive = _run_roots(
         _zero_sum_space, (moduli, forms, _orbit_reps(moduli, entries)),
-        _scalings(moduli, members), len(forms), budget, collect, length)
+        gens, len(forms), budget, collect, length)
     witnesses = None
     if collect and exhaustive:
-        witnesses = _Witnesses(moduli, members, cores)
+        witnesses = _Witnesses(moduli, members, cores, gens)
     return max_len, witnesses, nodes, exhaustive
 
 
@@ -531,29 +554,11 @@ def enumerate_extremal(n, weights, budget=None, orbit_reduced=False):
     ExactResult.witnesses.
 
     With orbit_reduced, a tuple of one sequence per orbit of the unit
-    scalings instead: the least image under every unit, sorted.  It expands
-    one class-level core per orbit of _scalings on cores, as a unit u maps
-    the expansions of core c one-to-one onto those of u*c.  Mixed moduli
-    have no unit scaling and get the full list.
+    scalings instead: the least image under every unit, sorted.  Mixed
+    moduli have no unit scaling and get the full list.
     """
-    res = exact_davenport(n, weights, budget, collect_witnesses=True)
-    found = res.witnesses
-    moduli = _as_moduli(n)
-    if not orbit_reduced or len(set(moduli)) != 1:
-        return found
-    gens = _scalings(moduli, found._members)
-    grid = _grid(moduli)
-    # one lookup per unit u: usable element x -> u*x
-    scale = [{x: grid.element(grid.times(u, x)) for xs in found._members
-              for x in xs}.__getitem__ for u in units(moduli[0])]
-    seen, reps = set(), set()
-    for core in found._cores:
-        if core in seen:
-            continue
-        seen |= _orbit(gens, core)
-        for e in found._expand(core):
-            reps.add(tuple(min(map(sorted, map(map, scale, repeat(e))))))
-    return tuple(ZSequence._of(moduli, e) for e in sorted(reps))
+    found = exact_davenport(n, weights, budget).witnesses
+    return found._reduced() if orbit_reduced else found
 
 
 def zero_sum_free_sequences(n, weights, length):

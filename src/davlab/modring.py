@@ -141,31 +141,23 @@ class CrtSplit:
 
 
 def crt_split(n, s):
-    """The preferred CRT split of (n, s); see CrtSplit for the constraints.
-
-    When several factorizations qualify, a split with even n1 wins (there is
-    at most one such candidate); otherwise the candidate with smallest n1.
-    Raises InvalidSError for a bad s and NoValidSplitError when no coprime
-    factorization with both factors >= 3 matches the sign pattern of s.
+    """The preferred CRT split of (n, s): of the divisors n1 of n whose
+    CrtSplit(n, s, n1, n // n1) constructs, an even one wins (there is at
+    most one), otherwise the smallest.  Raises InvalidSError for a bad s and
+    NoValidSplitError when no divisor gives a split.
     """
     s = _integer(s, "s") % _integer(n, "modulus", 2)
-    if (s * s) % n != 1 or s in (0, 1, n - 1):
-        raise InvalidSError(f"s={s} is not a nontrivial involution mod {n}")
     found = []
     for n1 in divisors(n):
-        n2 = n // n1
-        if n1 < 3 or n2 < 3 or gcd(n1, n2) != 1:
+        try:
+            found.append(CrtSplit(n, s, n1, n // n1))
+        except ValueError:  # not a split; a bad s raises InvalidSError
             continue
-        if s % n1 == n1 - 1 and s % n2 == 1:
-            found.append(CrtSplit(n, s, n1, n2))
     if not found:
         raise NoValidSplitError(
             f"no coprime split of n={n} with both factors >= 3 fits s={s}"
         )
-    for split in found:
-        if split.n1 % 2 == 0:
-            return split
-    return found[0]
+    return next((split for split in found if split.n1 % 2 == 0), found[0])
 
 
 def psi(a, split):

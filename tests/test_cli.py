@@ -1,7 +1,8 @@
 """End-to-end tests of the command line interface.
 
-Everything runs in-process through click's CliRunner, so exit codes and
-both output streams are observable without spawning subprocesses.
+Everything but one process-level check of the console script runs
+in-process through click's CliRunner, so exit codes and both output streams
+are observable without spawning subprocesses.
 """
 
 import csv
@@ -9,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import types
 
@@ -16,6 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import davlab.bounds
+import davlab.cli
 from davlab.cli import ENV_BUDGET_SECONDS, cli, main
 
 
@@ -366,6 +369,43 @@ def test_failed_rename_exits_2_and_cleans_up(tmp_path, monkeypatch, capsys):
     assert "Permission denied" in err
     # the written temporary is removed
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_alike_in_runner_and_main(tmp_path, monkeypatch,
+                                                    capsys):
+    args = ["involutions", "--n", "24",
+            "--output", str(tmp_path / "missing" / "x.txt")]
+    res = run(args)
+    assert run_main(monkeypatch, capsys, args) == (res.exit_code, res.stderr)
+    assert res.exit_code == 2
+
+
+def test_interrupt_exits_130_in_runner_and_main(monkeypatch, capsys):
+    def interrupt(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(davlab.cli, "involutions", interrupt)
+    args = ["involutions", "--n", "24"]
+    res = run(args)
+    assert run_main(monkeypatch, capsys, args) == (res.exit_code, res.stderr)
+    assert res.exit_code == 130
+
+
+def test_console_script_process_matches_runner():
+    # the path the benchmark's set-up run times, in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(davlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def script(*args):
+        return subprocess.run(
+            [sys.executable, "-c", "from davlab.cli import main; main()",
+             "involutions", *args],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    proc = script("--n", "24")
+    assert proc.returncode == 0
+    assert proc.stdout == run(["involutions", "--n", "24"]).stdout
+    assert script("--n", "1").returncode == 2
 
 
 def test_budget_env_validation():

@@ -137,6 +137,30 @@ def test_crt_split_prefers_even_n1():
     assert 19 % 5 == 4 and 19 % 6 == 1  # (5, 6) would also qualify
 
 
+def naive_split(n, s):
+    """The split rule stated directly: (n1, n2) or the exception type."""
+    s %= n
+    if s * s % n != 1 or s in (0, 1, n - 1):
+        return InvalidSError
+    splits = [(n1, n // n1) for n1 in range(1, n + 1)
+              if n % n1 == 0 and n1 >= 3 and n // n1 >= 3
+              and gcd(n1, n // n1) == 1
+              and s % n1 == n1 - 1 and s % (n // n1) == 1]
+    even = [split for split in splits if split[0] % 2 == 0]
+    return (even + splits)[0] if splits else NoValidSplitError
+
+
+def test_crt_split_matches_the_naive_rule():
+    for n in range(2, 301):
+        for s in range(-n, 2 * n):
+            try:
+                split = crt_split(n, s)
+                got = (split.n1, split.n2)
+            except (InvalidSError, NoValidSplitError) as e:
+                got = type(e)
+            assert got == naive_split(n, s), (n, s)
+
+
 def test_crt_split_direct_construction_validates():
     with pytest.raises(ValueError):
         CrtSplit(12, 5, 6, 2)
