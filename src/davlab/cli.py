@@ -184,7 +184,8 @@ def _budget_options(fn):
         "that finishes inside its wall-clock budget.",
     )(fn)
     fn = click.option(
-        "--max-nodes", type=int, default=20_000_000, show_default=True,
+        "--max-nodes", type=int, default=SearchBudget.max_nodes,
+        show_default=True,
         help="Node budget per root branch: one node per new search state or "
         "listed chain (memo hits cost none), in exact and classify alike.",
     )(fn)

@@ -266,7 +266,8 @@ def _run_roots(space, space_args, gens, count, budget, collect, length=None):
     reads one deadline off the system-wide monotonic clock, fixed before the
     roots are chosen.  No root is dispatched and no orbit closed once it has
     passed: the search then ends as a truncation, with the orbits closed so
-    far."""
+    far.  A budget of None is the default SearchBudget()."""
+    budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.max_seconds
     roots, seen = [], set()
     for i in range(count):
@@ -530,7 +531,6 @@ def exact_davenport(n, weights, budget=None, collect_witnesses=True):
     """
     moduli = _checked_moduli(n)
     entries = _weight_entries(weights, moduli)
-    budget = budget or SearchBudget()
     max_len, witnesses, nodes, exhaustive = _search(
         moduli, entries, budget, collect_witnesses
     )
@@ -573,8 +573,7 @@ def zero_sum_free_sequences(n, weights, length):
     entries = _weight_entries(weights, moduli)
     if length == 0:
         return iter((ZSequence(moduli, ()),))
-    _, found, nodes, exhaustive = _search(
-        moduli, entries, SearchBudget(), True, length)
+    _, found, nodes, exhaustive = _search(moduli, entries, None, True, length)
     if not exhaustive:
         raise BudgetExceededError(
             f"listing of length {length} cut off after {nodes} nodes")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .davenport import SearchBudget, _generators, _run_roots
+from .davenport import _generators, _run_roots
 from .errors import BudgetExceededError, WrongLengthError
 from .modring import _integer
 
@@ -416,8 +416,7 @@ def _search(spec, budget, length=None):
     closed under the same maps."""
     n = spec.n
     return _run_roots(_slot_space, (n, spec.s), _action(n, spec.s),
-                      2 * n - 1, budget or SearchBudget(), length is not None,
-                      length)
+                      2 * n - 1, budget, length is not None, length)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here is exact integer arithmetic.  A modulus is a plain int >= 2;
 elements of Z_n are ints in range(n).  _integer is the package's one check
-of an integer argument, and _factor its one factorisation.
+of an integer argument, and _factor its one factorisation.  crt_split
+computes a split from gcd(n, s + 1), with CrtSplit as its one rule.
 """
 
 from dataclasses import dataclass
@@ -141,23 +142,24 @@ class CrtSplit:
 
 
 def crt_split(n, s):
-    """The preferred CRT split of (n, s): of the divisors n1 of n whose
-    CrtSplit(n, s, n1, n // n1) constructs, an even one wins (there is at
-    most one), otherwise the smallest.  Raises InvalidSError for a bad s and
-    NoValidSplitError when no divisor gives a split.
+    """The preferred CRT split of (n, s), from g = gcd(n, s + 1).  A split
+    has n1 | gcd(n, s + 1) and n2 | gcd(n, s - 1), and those gcds multiply
+    to n or 2n (n | (s + 1)(s - 1) and gcd(s + 1, s - 1) | 2), so n1 is g
+    or g / 2.  g goes first, as an even n1 is preferred, and g / 2 is never
+    an even split: 4 | g would make n2 = 2n / g even too.  CrtSplit is the
+    one rule; the first candidate it accepts is returned.  Raises
+    InvalidSError for a bad s and NoValidSplitError when neither splits.
     """
     s = _integer(s, "s") % _integer(n, "modulus", 2)
-    found = []
-    for n1 in divisors(n):
+    g = gcd(n, s + 1)
+    for n1 in (g, g // 2) if g % 2 == 0 else (g,):
         try:
-            found.append(CrtSplit(n, s, n1, n // n1))
+            return CrtSplit(n, s, n1, n // n1)
         except ValueError:  # not a split; a bad s raises InvalidSError
             continue
-    if not found:
-        raise NoValidSplitError(
-            f"no coprime split of n={n} with both factors >= 3 fits s={s}"
-        )
-    return next((split for split in found if split.n1 % 2 == 0), found[0])
+    raise NoValidSplitError(
+        f"no coprime split of n={n} with both factors >= 3 fits s={s}"
+    )
 
 
 def psi(a, split):

@@ -112,12 +112,9 @@ class _Grid:
         for i, t in enumerate(vec):
             if not t:
                 continue
-            m = self.moduli[i]
-            st = self.strides[i]
-            keep = self._lt[i][m - t]
-            bits = ((bits & keep) << (t * st)) | (
-                (bits & self.mask & ~keep) >> ((m - t) * st)
-            )
+            m, st, lt = self.moduli[i], self.strides[i], self._lt[i]
+            bits = ((bits & lt[m - t]) << t * st
+                    | (bits >> (m - t) * st) & lt[t])
         return bits
 
     def fold(self, bits, shifts):

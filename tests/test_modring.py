@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from davlab import modring
 from davlab.errors import InvalidSError, NoValidSplitError
 from davlab.modring import (
     CrtSplit,
@@ -157,6 +158,35 @@ def test_crt_split_matches_the_naive_rule():
                 split = crt_split(n, s)
                 got = (split.n1, split.n2)
             except (InvalidSError, NoValidSplitError) as e:
+                got = type(e)
+            assert got == naive_split(n, s), (n, s)
+
+
+def test_crt_split_builds_at_most_two_candidates(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CrtSplit(*args)
+
+    monkeypatch.setattr(modring, "CrtSplit", counted)
+    for n in range(2, 301):
+        for s in range(-n, 2 * n):
+            built.clear()
+            try:
+                modring.crt_split(n, s)
+            except (InvalidSError, NoValidSplitError):
+                pass
+            assert 1 <= len(built) <= 2, (n, s, built)
+
+
+def test_crt_split_matches_the_naive_rule_on_larger_moduli():
+    for n in range(301, 2001):
+        for s in involutions(n):
+            try:
+                split = crt_split(n, s)
+                got = (split.n1, split.n2)
+            except NoValidSplitError as e:
                 got = type(e)
             assert got == naive_split(n, s), (n, s)
 

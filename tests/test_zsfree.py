@@ -227,6 +227,24 @@ def test_grid_element_format_against_coordinates(moduli):
         assert [grid.code(f) for f in shifts] == list(codes)
 
 
+@pytest.mark.parametrize(
+    "moduli", [(3, 5), (4, 4), (2, 3, 4), (6, 6), (12, 2)])
+def test_shift_vec_rotates_every_coordinate(moduli):
+    # reference: decode every set code, add the shift, encode again
+    grid = _grid(moduli)
+    rng = random.Random(sum(moduli))
+    samples = [0, grid.mask, 1, 1 << (grid.size - 1)]
+    samples += [rng.getrandbits(grid.size) for _ in range(6)]
+    for vec in product(*map(range, moduli)):
+        for bits in samples:
+            want = 0
+            for c in range(grid.size):
+                if bits >> c & 1:
+                    x = grid.decode(c)
+                    want |= 1 << grid.encode([a + t for a, t in zip(x, vec)])
+            assert grid.shift_vec(bits, vec) == want, (moduli, vec, bits)
+
+
 def test_reachable_sums_monotone_under_extension():
     rng = random.Random(0xAB1E)
     for _ in range(100):
