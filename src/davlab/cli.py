@@ -106,16 +106,11 @@ def _render(rows, columns, fmt):
     if fmt == "json":
         payload = [{c: r.get(c) for c in columns} for r in rows]
         return json.dumps({"rows": payload}, indent=2) + "\n"
+    cells = [["" if r.get(c) is None else str(r.get(c)) for c in columns] for r in rows]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow(
-                ["" if r.get(c) is None else str(r.get(c)) for c in columns]
-            )
+        csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
         return buf.getvalue()
-    cells = [[("" if r.get(c) is None else str(r.get(c))) for c in columns] for r in rows]
     widths = [
         max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
         for i, c in enumerate(columns)

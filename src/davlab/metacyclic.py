@@ -31,13 +31,17 @@ orbit at a time and close what they find under the same maps (_search).
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .davenport import _generators, _run_roots
 from .errors import BudgetExceededError, WrongLengthError
 from .modring import _integer
+from .zsfree import _Grid
 
-@dataclass(frozen=True, order=True)
-class MetaElem:
+
+class MetaElem(NamedTuple):
+    """The element x^eps y^a as its pair (eps, a)."""
+
     eps: int
     a: int
 
@@ -88,20 +92,14 @@ def inverse(g, spec):
 
 @dataclass(frozen=True, init=False)
 class GSequence:
-    """A finite multiset of group elements, stored sorted by (eps, a)."""
+    """A finite multiset of group elements, given as (eps, a) pairs (a
+    MetaElem is one) and stored as sorted MetaElems."""
 
     spec: GroupSpec
     elements: tuple
 
     def __init__(self, spec, elements):
-        elems = []
-        for g in elements:
-            if isinstance(g, MetaElem):
-                eps, a = g.eps, g.a
-            else:
-                eps, a = g
-            elems.append(spec.element(eps, a))
-        elems.sort()
+        elems = sorted(spec.element(eps, a) for eps, a in elements)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "elements", tuple(elems))
 
@@ -199,31 +197,28 @@ class _SlotSums:
     def _widen(self, span):
         # Masks over span lanes, rebuilt at twice the span a longer state
         # needs: (bits of the longest state an append takes, as appends move
-        # lanes up by at most three; rot[a], filled by _rotation on first use
-        # of a; every other lane from lane 1, 5, 2 and 4 on).
+        # lanes up by at most three; the lane rotations, which are the
+        # coordinate-0 rotations of the grid Z_n x Z_span, and the method
+        # that fills them; every other lane from lane 1, 5, 2 and 4 on).
+        # The grid is this object's own, not one from zsfree's unbounded
+        # _grid cache, so its masks go with it and with _slot_sums' entry.
         n = self.n
         lane = (1 << n) - 1
 
-        def lanes(first, step=2):
-            return sum(lane << (i * n) for i in range(first, span, step))
+        def lanes(first):
+            return sum(lane << (i * n) for i in range(first, span, 2))
 
-        self.ones, self.rot = lanes(0, 1) // lane, [None] * (n + 1)
-        self.masks = ((span - 3) * n, self.rot, lanes(1), lanes(5), lanes(2), lanes(4))
+        grid = _Grid((n, span))
+        self.masks = ((span - 3) * n, grid.rot[0], grid.rotation,
+                      lanes(1), lanes(5), lanes(2), lanes(4))
         return self.masks
-
-    def _rotation(self, a):
-        # the low n - a bits of every lane, which move up by a, and the low a
-        # bits, where the top a bits land
-        ones = self.ones
-        masks = self.rot[a] = ((ones << (self.n - a)) - ones, (ones << a) - ones)
-        return masks
 
     def append(self, base, state, eps, a):
         """base together with the sums of state after appending x^eps y^a."""
         n = self.n
-        fits, rot, odd, odd5, even, even4 = self.masks
+        fits, rot, rotation, odd, odd5, even, even4 = self.masks
         if state.bit_length() > fits:
-            fits, rot, odd, odd5, even, even4 = self._widen(
+            fits, rot, rotation, odd, odd5, even, even4 = self._widen(
                 2 * (-(-state.bit_length() // n) + 3))
         if eps:
             light = ((state & self.lane1) << 3 * n | (state & even) << 2 * n
@@ -234,8 +229,8 @@ class _SlotSums:
             light, heavy = state, state >> n << n
         # every lane of light rotates up by a, every lane of heavy by a*s
         a_s = a * self.s % n
-        stay, wrap = rot[a] or self._rotation(a)
-        stay_s, wrap_s = rot[a_s] or self._rotation(a_s)
+        stay, wrap = rot[a] or rotation(0, a)
+        stay_s, wrap_s = rot[a_s] or rotation(0, a_s)
         return (base | (light & stay) << a | (light >> (n - a)) & wrap
                 | (heavy & stay_s) << a_s | (heavy >> (n - a_s)) & wrap_s)
 
@@ -311,7 +306,7 @@ def has_product_one_subsequence(S):
 
 def _candidates(n):
     """Every element but 1: y^a at index a - 1, x y^b at index n - 1 + b."""
-    return [(0, a) for a in range(1, n)] + [(1, b) for b in range(n)]
+    return [MetaElem(0, a) for a in range(1, n)] + [MetaElem(1, b) for b in range(n)]
 
 
 def _translation_step(n, s):
@@ -439,7 +434,7 @@ def classify_extremal(spec, length, budget=None):
     _, chains, nodes, exhaustive = _search(spec, budget, length)
     # candidate order is (eps, a) order, so the nondecreasing chains come
     # out sorted
-    cands = [MetaElem(eps, a) for eps, a in _candidates(spec.n)]
+    cands = _candidates(spec.n)
     claimed, other = [], []
     for chain in chains:
         seq = GSequence._of(spec, tuple(cands[i] for i in chain))

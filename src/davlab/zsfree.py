@@ -40,13 +40,15 @@ class _Grid:
     """Bitset geometry and element format for Z_{m1} x ... x Z_{mk}.
 
     Codes are mixed radix with the first coordinate least significant, so
-    code 0 is the zero element.  _lt[i][c] masks the codes whose i-th
-    coordinate is below c; coordinate-wise rotation splits on it.  code,
-    element, times and images map elements (ints for rank one) to codes and
-    back, with inline rank-one fast paths; fold takes images' shift forms.
+    code 0 is the zero element.  Rotating coordinate i by t splits on the
+    pair rot[i][t], which rotation(i, t) builds on first use: the codes whose
+    i-th coordinate is below m - t, which move up by t, and those below t,
+    where the top t land.  code, element, times and images map elements
+    (ints for rank one) to codes and back, with inline rank-one fast paths;
+    fold takes images' shift forms.
     """
 
-    __slots__ = ("moduli", "rank", "size", "mask", "strides", "_lt")
+    __slots__ = ("moduli", "rank", "size", "mask", "strides", "rot")
 
     def __init__(self, moduli):
         self.moduli = moduli
@@ -59,16 +61,16 @@ class _Grid:
         self.size = size
         self.strides = tuple(strides)
         self.mask = (1 << size) - 1
-        if self.rank == 1:
-            self._lt = None
-            return
-        lt = []
-        for m, st in zip(moduli, strides):
-            # one bit at the start of every block of m * st codes; a mask
-            # of fewer than m * st bits times it repeats in every block
-            starts = self.mask // ((1 << (m * st)) - 1)
-            lt.append([((1 << (c * st)) - 1) * starts for c in range(m + 1)])
-        self._lt = lt
+        self.rot = [[None] * (m + 1) for m in moduli]
+
+    def rotation(self, i, t):
+        m, st = self.moduli[i], self.strides[i]
+        # one bit at the start of every block of m * st codes; a mask of
+        # fewer than m * st bits times it repeats in every block
+        starts = self.mask // ((1 << (m * st)) - 1)
+        masks = self.rot[i][t] = (((1 << ((m - t) * st)) - 1) * starts,
+                                  ((1 << (t * st)) - 1) * starts)
+        return masks
 
     def encode(self, vec):
         code = 0
@@ -112,9 +114,10 @@ class _Grid:
         for i, t in enumerate(vec):
             if not t:
                 continue
-            m, st, lt = self.moduli[i], self.strides[i], self._lt[i]
-            bits = ((bits & lt[m - t]) << t * st
-                    | (bits >> (m - t) * st) & lt[t])
+            stay, wrap = self.rot[i][t] or self.rotation(i, t)
+            st = self.strides[i]
+            bits = ((bits & stay) << t * st
+                    | (bits >> (self.moduli[i] - t) * st) & wrap)
         return bits
 
     def fold(self, bits, shifts):

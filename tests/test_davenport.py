@@ -861,3 +861,15 @@ def test_searches_without_an_involution_keep_their_nodes():
     # and its node counts are those of the element-count bound
     assert exact_davenport((5, 5), {1}).nodes == 33_353
     assert exact_davenport(30, {1}).nodes == 9_091
+
+
+def test_orbit_reduction_of_mixed_moduli_is_the_full_list():
+    reduced = enumerate_extremal((3, 4), {1}, orbit_reduced=True)
+    assert reduced == enumerate_extremal((3, 4), {1})
+    assert [w.elements for w in reduced] == [
+        (g,) * 11 for g in ((1, 1), (1, 3), (2, 1), (2, 3))]
+
+
+def test_weight_set_must_fit_every_modulus():
+    with pytest.raises(ValueError, match=r"weight set over Z_4 does not fit moduli \(3, 3\)"):
+        exact_davenport((3, 3), WeightSet(4, (1,)))

@@ -694,3 +694,27 @@ def test_formatting():
     spec = GroupSpec.dihedral(5)
     S = GSequence(spec, [(0, 1), (0, 1), (1, 3)])
     assert format_sequence(S) == "y y xy^3"
+
+
+def test_meta_elem_is_its_pair():
+    g = MetaElem(1, 14)
+    assert g == (1, 14) and (1, 14) == g
+    eps, a = g
+    assert (eps, a, g[0], g[1], g.eps, g.a) == (1, 14, 1, 14, 1, 14)
+    assert hash(g) == hash((1, 14))
+    pairs = [(1, 0), (0, 5), (1, 3), (0, 2)]
+    assert sorted(MetaElem(*p) for p in pairs) == sorted(pairs)
+    assert {MetaElem(*p) for p in pairs} == set(pairs)
+    assert repr(MetaElem(0, 3)) == "MetaElem(eps=0, a=3)"
+    spec = GroupSpec(12, 5)
+    mixed = GSequence(spec, [(1, 14), MetaElem(0, 3)])
+    assert mixed == GSequence(spec, [(1, 14), (0, 3)])
+    assert mixed.elements == ((0, 3), (1, 2))
+    assert all(type(g) is MetaElem for g in mixed.elements)
+
+
+def test_certificate_refuses_a_repeated_position():
+    # x * x = 1, so only the repeat check refuses the doubled position 1
+    S = GSequence(GroupSpec.dihedral(5), [(1, 0), (1, 0)])
+    assert OrderedCertificate((1, 2), (1, 2)).holds_for(S)
+    assert not OrderedCertificate((1, 1), (1, 1)).holds_for(S)

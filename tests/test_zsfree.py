@@ -14,6 +14,7 @@ from davlab.zsfree import (
     ZSequence,
     brute_force_oracle,
     extract_certificate,
+    _Grid,
     _grid,
     _weight_entries,
     has_weighted_zero_sum,
@@ -463,3 +464,14 @@ def test_extraction_is_deterministic():
     a = extract_certificate(S, {1, 4})
     b = extract_certificate(ZSequence(15, [2, 3, 7, 7, 11]), {1, 4})
     assert a == b
+
+
+def test_rotation_masks_are_built_on_first_use():
+    assert all(t is None for row in _Grid((2100, 8)).rot for t in row)
+    for n, span in [(5, 8), (12, 16), (30, 8)]:
+        grid = _Grid((n, span))
+        ones = sum(1 << lane * n for lane in range(span))
+        for a in range(n + 1):
+            want = ((ones << (n - a)) - ones, (ones << a) - ones)
+            assert grid.rotation(0, a) == want, (n, span, a)
+            assert grid.rot[0][a] == want
