@@ -526,8 +526,8 @@ def exact_davenport(n, weights, budget=None, collect_witnesses=True):
     With collect_witnesses the search also walks out every longest chain of
     classes; the sequences themselves are built only when a caller iterates
     ExactResult.witnesses.  Without it the walk is skipped and witnesses is
-    None.  The flag stays until the benchmark, which passes it, stops doing
-    so.
+    None; verify_sandwich passes False to skip the walk, as it needs only
+    the constant.
     """
     moduli = _checked_moduli(n)
     entries = _weight_entries(weights, moduli)

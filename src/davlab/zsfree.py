@@ -9,7 +9,8 @@ precomputed masks.
 
 _Grid owns the element format (an int for Z_n, a coordinate tuple for a
 product, weight entries alike): _as_element brings every element and weight
-from outside to it, and past that and the oracle, code here and in davenport
+from outside to it, weights through _as_entry, which also rejects one that
+is zero everywhere.  Past that and the oracle, code here and in davenport
 reaches elements only through _Grid's methods.
 
 Certificates come from the same fold: extract_certificate layers it by pick
@@ -206,30 +207,25 @@ _set_elements = ZSequence.elements.__set__
 
 
 def _as_entry(w, moduli):
-    w = w if isinstance(w, tuple) else (w,) * len(moduli)
-    return _as_element(w, moduli, "weight")
+    """Weight w from outside as an entry (a non-tuple broadcasts); one zero
+    on every coordinate is rejected, as it makes every element a zero sum."""
+    entry = _as_element(w if isinstance(w, tuple) else (w,) * len(moduli),
+                        moduli, "weight")
+    if entry in (0, (0,) * len(moduli)):
+        raise ValueError(f"weight {w!r} acts as zero on every element")
+    return entry
 
 
 def _weight_entries(weights, moduli):
-    """Canonical weight tuple: ints for rank 1, coordinate tuples otherwise.
-
-    Scalar weights broadcast over all coordinates; a WeightSet is accepted
-    when every modulus equals its n.  Weights acting as zero everywhere are
-    rejected (they would make every element an instant zero sum).
-    """
+    """The sorted distinct entries of weights, each read by _as_entry; a
+    WeightSet is accepted when every modulus equals its n."""
     if isinstance(weights, WeightSet):
         if any(m != weights.n for m in moduli):
             raise ValueError(
                 f"weight set over Z_{weights.n} does not fit moduli {moduli}"
             )
         weights = weights.weights
-    zero = _as_entry(0, moduli)
-    entries = set()
-    for w in weights:
-        entry = _as_entry(w, moduli)
-        if entry == zero:
-            raise ValueError(f"weight {w!r} acts as zero on every element")
-        entries.add(entry)
+    entries = {_as_entry(w, moduli) for w in weights}
     if not entries:
         raise ValueError("weight collection must be nonempty")
     return tuple(sorted(entries))
@@ -357,6 +353,9 @@ class Certificate:
     weights: tuple
 
     def holds_for(self, S, weights=None):
+        """True iff this is a weighted zero sum of S.  With weights, every
+        weight applied must be one of them; without, any weight that is not
+        zero on every coordinate will do.  A malformed certificate is False."""
         moduli = S.moduli
         try:
             for i in self.indices:

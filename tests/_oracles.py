@@ -134,3 +134,56 @@ def unreachable_orbits(moduli, sums, h):
             hy = y if h is None else tuple(a * c % m for a, c, m in zip(h, y, moduli))
             orbits.add(frozenset((y, hy)))
     return len(orbits)
+
+
+def naive_certificate(S, indices, weights, allowed=None):
+    """True iff weights[k] times the indices[k]-th element of S (counted
+    from 1) add up to zero, checked in plain modular arithmetic: the indices
+    nonempty, strictly increasing ints inside S, one weight per index, no
+    weight zero on every coordinate, each weight in allowed when that is
+    given, and the weighted sum 0 on every coordinate.  An int weight
+    stands for itself on every coordinate."""
+    moduli = S.moduli
+    elems = [x if isinstance(x, tuple) else (x,) for x in S.elements]
+
+    def vector(w):
+        v = w if isinstance(w, tuple) else (w,) * len(moduli)
+        if len(v) != len(moduli) or any(type(c) is not int for c in v):
+            return None
+        return tuple(c % m for c, m in zip(v, moduli))
+
+    if not indices or len(indices) != len(weights):
+        return False
+    if any(type(i) is not int for i in indices):
+        return False
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        return False
+    if indices[0] < 1 or indices[-1] > len(elems):
+        return False
+    vecs = [vector(w) for w in weights]
+    if any(v is None or not any(v) for v in vecs):
+        return False
+    if allowed is not None:
+        permitted = {vector(a) for a in allowed}
+        if any(v not in permitted for v in vecs):
+            return False
+    return all(
+        sum(v[c] * elems[i - 1][c] for i, v in zip(indices, vecs)) % m == 0
+        for c, m in enumerate(moduli)
+    )
+
+
+def naive_ordered_certificate(S, positions, order):
+    """True iff order lists the distinct 1-based positions of S, positions
+    is their sorted tuple, and the elements multiplied in that order give
+    the identity; the product is taken one mul at a time."""
+    if not order or any(type(p) is not int for p in (*positions, *order)):
+        return False
+    if positions != tuple(sorted(order)) or len(set(order)) != len(order):
+        return False
+    if not all(1 <= p <= len(S.elements) for p in order):
+        return False
+    acc = IDENTITY
+    for p in order:
+        acc = mul(acc, S.elements[p - 1], S.spec)
+    return acc == IDENTITY

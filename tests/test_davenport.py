@@ -229,6 +229,18 @@ def test_witness_reads(moduli, A):
     assert not any(isinstance(x, ZSequence) for x in _reachable(found))
 
 
+def test_witness_list_is_not_equal_to_a_plain_sequence():
+    # a witness list equals only another witness list; a list or tuple of
+    # the same sequences gets NotImplemented back, so == falls back to
+    # identity and != to its negation, and neither raises
+    found = exact_davenport(6, {1}).witnesses
+    for plain in (list(found), tuple(found)):
+        assert len(plain) == len(found) > 0
+        assert found.__eq__(plain) is NotImplemented
+        assert not found == plain and not plain == found
+        assert found != plain and plain != found
+
+
 def test_zsequence_copies_and_pickles():
     # ZSequence is a frozen slotted dataclass, a combination some Python
     # versions have failed to pickle or copy

@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 import pytest
@@ -31,7 +31,12 @@ from davlab.metacyclic import (
 from davlab.davenport import SearchBudget
 from davlab.modring import crt_split, involutions, units
 from davlab.zsfree import ZSequence, has_weighted_zero_sum
-from _oracles import automorphisms, product_one_oracle, realized_products
+from _oracles import (
+    automorphisms,
+    naive_ordered_certificate,
+    product_one_oracle,
+    realized_products,
+)
 
 
 def some_specs(n_max):
@@ -283,6 +288,62 @@ def test_ordered_certificate_rejects_malformed():
     assert not OrderedCertificate((1.0, 2), (1.0, 2)).holds_for(S)
     assert not OrderedCertificate((1, 2), (2.0, 1)).holds_for(S)
     assert not OrderedCertificate((True, 2), (2, True)).holds_for(S)
+
+
+def _ordered_case(rng, spec):
+    """A random ordered certificate over spec, well formed or not, as (S,
+    positions, order).  order names the positions of a random chain in S,
+    in chain order half the time and shuffled otherwise; half the chains
+    end in the inverse of their product."""
+    elements = spec.all_elements()
+    chain = [rng.choice(elements) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        acc = IDENTITY
+        for g in chain:
+            acc = mul(acc, g, spec)
+        chain.append(inverse(acc, spec))
+    S = GSequence(spec, chain + [rng.choice(elements)
+                                 for _ in range(rng.randint(1, 3))])
+    m = len(S.elements)
+    free = list(range(1, m + 1))
+    order = []
+    for g in chain or [S.elements[0]]:
+        order.append(next(p for p in free if S.elements[p - 1] == g))
+        free.remove(order[-1])
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    positions = sorted(order)
+    flaw = rng.randrange(10)
+    if flaw == 0:
+        positions, order = [], []
+    elif flaw == 1:
+        order[rng.randrange(len(order))] = rng.randint(1, m)
+    elif flaw == 2:
+        order[rng.randrange(len(order))] = rng.choice((0, -1, m + 1))
+        positions = sorted(order)
+    elif flaw == 3:
+        positions.reverse()
+    elif flaw == 4:
+        positions = positions[1:]
+    elif flaw == 5:
+        k = rng.randrange(len(order))
+        order[k] = rng.choice((float(order[k]), True))
+        positions = sorted(order)
+    return S, tuple(positions), tuple(order)
+
+
+def test_ordered_certificate_check_agrees_with_naive_checker():
+    # a seeded corpus over C_n : C_2, n <= 8, every s with s^2 = 1
+    rng = random.Random(0x0DE5)
+    specs = [GroupSpec(n, s) for n in range(3, 9) for s in range(n)
+             if s * s % n == 1]
+    held = 0
+    for _ in range(2500):
+        S, positions, order = _ordered_case(rng, rng.choice(specs))
+        expected = naive_ordered_certificate(S, positions, order)
+        assert OrderedCertificate(positions, order).holds_for(S) == expected
+        held += expected
+    assert 500 <= held <= 2000
 
 
 def test_paired_reflections_force_product_one():

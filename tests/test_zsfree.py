@@ -20,7 +20,7 @@ from davlab.zsfree import (
     has_weighted_zero_sum,
     reachable_sums,
 )
-from _oracles import lexmin_certificate, weighted_sums
+from _oracles import lexmin_certificate, naive_certificate, weighted_sums
 
 
 def test_zsequence_canonical_storage():
@@ -429,6 +429,84 @@ def test_certificate_holds_for_rejects_malformed():
     assert not Certificate((1,), (2.4,)).holds_for(ZSequence(12, [5]))
     assert not Certificate((1,), (True,)).holds_for(ZSequence(12, [0]))
     assert Certificate((1, 2), (1, 1)).holds_for(S)
+    # a weight zero on every coordinate makes any single pick a zero sum
+    for bad in (0, 5, (0,)):
+        assert not Certificate((1,), (bad,)).holds_for(ZSequence(5, [1, 2]))
+    for bad in ((0, 0), (3, 6), 3):
+        assert not Certificate((1,), (bad,)).holds_for(
+            ZSequence((3, 3), [(1, 1)]))
+    # one zero on some coordinates only is a weight like any other
+    assert Certificate((1,), ((1, 0),)).holds_for(ZSequence((3, 3), [(0, 1)]))
+
+
+def _certificate_case(rng, moduli):
+    """A random certificate over moduli, well formed or not, as (S, indices,
+    weights, allowed)."""
+    rank = len(moduli)
+    vectors = list(product(*map(range, moduli)))
+    S = ZSequence(moduli,
+                  [rng.choice(vectors) for _ in range(rng.randint(0, 5))])
+
+    def weight():
+        kind = rng.randrange(5)
+        if kind == 0:  # an int zero everywhere
+            return rng.choice((0, moduli[0], -prod(moduli), 2 * prod(moduli)))
+        if kind == 1:  # a tuple zero everywhere
+            return tuple(q * rng.randint(-1, 2) for q in moduli)
+        if kind == 2 and rank > 1:  # a tuple zero on one coordinate only
+            w = [rng.randrange(1, q) for q in moduli]
+            w[rng.randrange(rank)] = 0
+            return tuple(w)
+        if kind == 3:
+            return rng.randrange(-2 * moduli[0], 2 * moduli[0])
+        return tuple(rng.randrange(-q, 2 * q) for q in moduli)
+
+    m = len(S)
+    indices = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))) \
+        if m else ()
+    flaw = rng.randrange(12)
+    if flaw == 0 and len(indices) > 1:
+        indices = indices[::-1]
+    elif flaw == 1 and indices:
+        indices += (indices[-1],)
+    elif flaw == 2:
+        indices = (rng.choice((0, -1, m + 1)),) + indices
+    elif flaw == 3 and indices:
+        indices = (rng.choice((1.0, True)),) + indices[1:]
+    elif flaw == 4:
+        indices = ()
+    weights = [weight() for _ in range(len(indices) + (flaw == 5))]
+    zero = _naive_entries([0], moduli)
+    if weights and rng.random() < 0.5:
+        # nonzero weights and a last weight that closes a zero sum, where
+        # one does
+        weights = [w if _naive_entries([w], moduli) != zero
+                   else rng.choice(vectors[1:]) for w in weights]
+        for w in rng.sample(vectors, len(vectors)):
+            if naive_certificate(S, indices, (*weights[:-1], w)):
+                weights[-1] = w
+                break
+    allowed = [w for w in rng.sample(vectors, 2) + weights
+               if _naive_entries([w], moduli) != zero and rng.random() < 0.7]
+    return S, indices, tuple(weights), rng.choice((None, allowed or None))
+
+
+def test_certificate_check_agrees_with_naive_checker():
+    # a seeded corpus over Z_n (n <= 9), (3, 3) and (2, 4), with weights
+    # that are 0, multiples of n, tuples zero everywhere and tuples zero on
+    # one coordinate
+    rng = random.Random(0xCE27)
+    groups = [(n,) for n in range(2, 10)] + [(3, 3), (2, 4)]
+    held = with_zero = 0
+    for _ in range(3000):
+        moduli = rng.choice(groups)
+        S, indices, weights, allowed = _certificate_case(rng, moduli)
+        expected = naive_certificate(S, indices, weights, allowed)
+        assert Certificate(indices, weights).holds_for(S, allowed) == expected
+        held += expected
+        zero = _naive_entries([0], moduli)
+        with_zero += any(_naive_entries([w], moduli) == zero for w in weights)
+    assert held >= 300 and with_zero >= 500
 
 
 def test_certificate_holds_for_sums_coordinates_over_products():
