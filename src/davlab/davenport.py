@@ -24,12 +24,14 @@ each entry as exact, a lower bound (a search asked for one length stops once
 it reaches it) or an upper bound, and an upper bound answers only the calls
 whose threshold it does not exceed.
 
-_run_branch is the one branch engine: it is handed a search space (a fold
-over int states, the candidate forms and a capacity base).  Each form is a
-pair (probe, arg): probe is the set of state bits that forbid the append,
-tested with one AND before fold(state, arg) builds the next state.  Here
-(_zero_sum_space) the probe holds the negated weighted images of a class;
-metacyclic's slot-sum space is the other instance.
+_run_branch is the one branch engine: it is handed a search space (lift,
+step, forms, cap_base, rep) over int states.  Each form is a pair (probe,
+arg): probe is the set of state bits that forbid the append, tested with
+one AND before step(state, lifted, arg) builds the next state from
+lifted = lift(state), which every node computes once for all its children.
+Here (_zero_sum_space) the probe holds the negated weighted images of a
+class and the fold is zsfree._Grid's; metacyclic's slot-sum space is the
+other instance.
 
 Both searches run one orbit of a symmetry group at a time.  The group is
 given by generators, permutations of the candidate indices built once per
@@ -339,10 +341,11 @@ def _orbit_reps(moduli, entries):
 
 
 def _zero_sum_space(moduli, forms, rep):
-    """Reachable-sum bitsets: a zero sum blocks, and the orbits of nonzero
-    sums that rep (_orbit_reps) marks cap.  forms are the classes' (probe,
-    shift forms) pairs."""
-    return _grid(moduli).fold, forms, rep.bit_count(), rep
+    """Reachable-sum bitsets, folded by _Grid's lift and step: a zero sum
+    blocks, and the orbits of nonzero sums that rep (_orbit_reps) marks
+    cap.  forms are the classes' (probe, shift forms) pairs."""
+    grid = _grid(moduli)
+    return grid.lift, grid.step, forms, rep.bit_count(), rep
 
 
 def _run_branch(args):
@@ -350,11 +353,13 @@ def _run_branch(args):
 
     A root that starts past the deadline returns at once, before it builds
     its search space, as a truncation with 0 nodes.  Otherwise
-    space(*space_args) gives (fold, forms, cap_base, rep).  A state is an
-    int, 0 for the empty sequence, and forms[i] is candidate i's pair
+    space(*space_args) gives (lift, step, forms, cap_base, rep).  A state
+    is an int, 0 for the empty sequence, and forms[i] is candidate i's pair
     (probe, arg): probe is the set of state bits that forbid appending it,
-    and fold(state, arg) is the state after the append, called only when
-    state & probe is 0, so a blocked candidate costs one AND.  The popcount
+    and step(state, lift(state), arg) is the state after the append.  lift
+    holds the work shared by every child of a state and runs once per node
+    searched (and once per walk step); step runs only when state & probe is
+    0, so a blocked candidate costs one AND.  The popcount
     of state & rep must lower-bound a count that every append raises and
     that cannot pass cap_base, so that cap_base minus it bounds how many
     appends can still follow: the reachable orbits of nonzero sums here,
@@ -404,7 +409,7 @@ def _run_branch(args):
     space, space_args, root, max_nodes, collect, length, deadline = args
     if time.monotonic() > deadline:
         return 0, (), 0, False
-    fold, forms, cap_base, rep = space(*space_args)
+    lift, step, forms, cap_base, rep = space(*space_args)
     n_forms = len(forms)
     # no sequence is longer than cap_base, so without a length no loop stops
     goal = cap_base + 1 if length is None else length
@@ -437,13 +442,14 @@ def _run_branch(args):
             elif hit >= 0 or hit <= -need:
                 return abs(hit)
         tick(depth)
+        lifted = lift(R)
         best = 0
         floor = beat if beat > 0 else 0
         for i in range(last, n_forms):
             probe, arg = forms[i]
             if R & probe:
                 continue
-            Rp = fold(R, arg)
+            Rp = step(R, lifted, arg)
             cap = 1 + (cap_base - (Rp & rep).bit_count())
             if cap <= floor:
                 if cap > best:
@@ -465,11 +471,12 @@ def _run_branch(args):
             tick(len(prefix))
             chains.append(tuple(prefix))
             return
+        lifted = lift(R)
         for i in range(last, n_forms):
             probe, arg = forms[i]
             if R & probe:
                 continue
-            Rp = fold(R, arg)
+            Rp = step(R, lifted, arg)
             if 1 + (cap_base - (Rp & rep).bit_count()) < remaining:
                 continue
             if 1 + max_ext(Rp, i, len(prefix) + 1, remaining - 2) >= remaining:
@@ -478,7 +485,7 @@ def _run_branch(args):
                 prefix.pop()
 
     try:
-        R0 = fold(0, forms[root][1])
+        R0 = step(0, lift(0), forms[root][1])
         best = 1 + max_ext(R0, root, 1, -1 if length is None else length - 2)
         deepest = max(deepest, best)
         target = best if length is None else length

@@ -179,7 +179,11 @@ class _SlotSums:
 
     Appending y^a rotates kind 0 by a and kinds 1 and 2 by both a and a*s.
     Appending x y^a takes kinds 1 and 2 to kind 2, rotated by a with balance
-    + 1 and by a*s with balance - 1.
+    + 1 and by a*s with balance - 1.  The fold is two methods: lanes picks
+    and moves the lanes an append reads, which depends only on eps, and
+    rotate turns them by a and a*s onto a base.  The product-one detector
+    calls both per append; the search (_slot_space) calls lanes once per
+    state and rotate once per child.
 
     Ordering rule: a kind-2 sum at balance 0 is the a-part of the product
     that alternates its reflections s-slot, 1-slot, ending on a 1-slot, and
@@ -196,41 +200,50 @@ class _SlotSums:
 
     def _widen(self, span):
         # Masks over span lanes, rebuilt at twice the span a longer state
-        # needs: (bits of the longest state an append takes, as appends move
-        # lanes up by at most three; the lane rotations, which are the
-        # coordinate-0 rotations of the grid Z_n x Z_span, and the method
-        # that fills them; every other lane from lane 1, 5, 2 and 4 on).
-        # The grid is this object's own, not one from zsfree's unbounded
-        # _grid cache, so its masks go with it and with _slot_sums' entry.
+        # needs: fits, the bits of the longest state an append takes, as
+        # appends move lanes up by at most three; the lane rotations rot,
+        # which are the coordinate-0 rotations of the grid Z_n x Z_span,
+        # and the method that fills them; every other lane from lane 1, 5,
+        # 2 and 4 on.  Masks only grow, so a rotation with the current ones
+        # fits lanes taken at any earlier span.  The grid is this object's
+        # own, not one from zsfree's unbounded _grid cache, so its masks go
+        # with it and with _slot_sums' entry.
         n = self.n
         lane = (1 << n) - 1
 
-        def lanes(first):
+        def every_other(first):
             return sum(lane << (i * n) for i in range(first, span, 2))
 
         grid = _Grid((n, span))
-        self.masks = ((span - 3) * n, grid.rot[0], grid.rotation,
-                      lanes(1), lanes(5), lanes(2), lanes(4))
-        return self.masks
+        self.fits = (span - 3) * n
+        self.rot, self.rotation = grid.rot[0], grid.rotation
+        self.odd, self.odd5, self.even, self.even4 = (
+            every_other(1), every_other(5), every_other(2), every_other(4))
 
-    def append(self, base, state, eps, a):
-        """base together with the sums of state after appending x^eps y^a."""
+    def lanes(self, state, eps):
+        """The lanes of state that appending x^eps y^a rotates, moved to
+        where the append puts them: (light, heavy), rotated by a and by a*s
+        (rotate).  The masks widen first if state needs more lanes."""
         n = self.n
-        fits, rot, rotation, odd, odd5, even, even4 = self.masks
-        if state.bit_length() > fits:
-            fits, rot, rotation, odd, odd5, even, even4 = self._widen(
-                2 * (-(-state.bit_length() // n) + 3))
-        if eps:
-            light = ((state & self.lane1) << 3 * n | (state & even) << 2 * n
-                     | (state & self.lane3) >> n | (state & odd5) >> 2 * n)
-            heavy = ((state & odd) << 2 * n | (state & self.lane2) << n
-                     | (state & even4) >> 2 * n)
-        else:
-            light, heavy = state, state >> n << n
-        # every lane of light rotates up by a, every lane of heavy by a*s
+        if state.bit_length() > self.fits:
+            self._widen(2 * (-(-state.bit_length() // n) + 3))
+        if not eps:
+            return state, state >> n << n
+        light = ((state & self.lane1) << 3 * n | (state & self.even) << 2 * n
+                 | (state & self.lane3) >> n | (state & self.odd5) >> 2 * n)
+        heavy = ((state & self.odd) << 2 * n | (state & self.lane2) << n
+                 | (state & self.even4) >> 2 * n)
+        return light, heavy
+
+    def rotate(self, base, lanes, a):
+        """base together with the lanes (light, heavy) rotated, every lane of
+        light up by a and every lane of heavy by a*s: with lanes(state,
+        eps), the sums after appending x^eps y^a to state."""
+        n, rot = self.n, self.rot
+        light, heavy = lanes
         a_s = a * self.s % n
-        stay, wrap = rot[a] or rotation(0, a)
-        stay_s, wrap_s = rot[a_s] or rotation(0, a_s)
+        stay, wrap = rot[a] or self.rotation(0, a)
+        stay_s, wrap_s = rot[a_s] or self.rotation(0, a_s)
         return (base | (light & stay) << a | (light >> (n - a)) & wrap
                 | (heavy & stay_s) << a_s | (heavy >> (n - a_s)) & wrap_s)
 
@@ -255,14 +268,15 @@ def has_product_one_subsequence(S):
     """
     n, s = S.spec.n, S.spec.s
     slots = _slot_sums(n, s)
+    lanes, rotate = slots.lanes, slots.rotate
     elems = S.elements
     m = len(elems)
     layers = [[slots.empty] * (m + 1)]
     for t in range(1, m + 1):
         prev = layers[-1]
         row = [0]
-        for j, g in enumerate(elems):
-            row.append(slots.append(row[j], prev[j], g.eps, g.a))
+        for j, (eps, a) in enumerate(elems):
+            row.append(rotate(row[j], lanes(prev[j], eps), a))
         layers.append(row)
         if row[m] & (1 | 1 << 2 * n):
             break
@@ -317,7 +331,11 @@ def _translation_step(n, s):
 
 def _slot_space(n, s):
     """The product-one-free search space for davenport._run_branch, over
-    _SlotSums states without the empty sum.
+    _SlotSums states without the empty sum: (lift, step, forms, cap_base,
+    rep).  lift(state) does a state's share of the fold once for all its
+    children: it adds the empty sum, and for each eps takes the append's
+    base and its light and heavy lanes (_SlotSums.lanes).  step(state,
+    lifted, (eps, v)) only rotates them by v and v*s (_SlotSums.rotate).
 
     The fold is defined on candidate-ordered chains only, the chains that
     _run_branch builds: plain elements first, so no plain element follows a
@@ -329,12 +347,13 @@ def _slot_space(n, s):
     A form is (probe, (eps, v)), and the probe holds the candidate's inverse:
     a plain y^v is blocked when -v lies in kind 0 or in kind 2 at balance 0
     (an even, nonzero number of reflections), a reflection x y^v when -v*s
-    lies in kind 2 at balance +1.  A reflection x y^v with v >= step
+    lies in kind 2 at balance +1.  A reflection x y^v with v >= stride
     (_translation_step) also carries all of kind 0, so it cannot be the
     first reflection after plain elements.  x y^b -> x y^(b + c), with c a
-    multiple of step, is an automorphism that fixes every plain element, so
-    it maps a chain with a plain prefix to one whose first reflection has
-    b < step and the same prefix; _search closes the found chains under it.
+    multiple of stride, is an automorphism that fixes every plain element,
+    so it maps a chain with a plain prefix to one whose first reflection
+    has b < stride and the same prefix; _search closes the found chains
+    under it.
 
     Capacity: let W(C) be the set of non-identity elements that some
     ordering of a nonempty sub-multiset of a product-one-free chain C
@@ -362,25 +381,31 @@ def _slot_space(n, s):
     never lane 2.
     """
     slots = _slot_sums(n, s)
-    append, empty = slots.append, slots.empty
+    lanes, rotate, empty = slots.lanes, slots.rotate, slots.empty
     lane0 = (1 << n) - 1
     nonzero = lane0 & ~1
-    step = _translation_step(n, s)
-    forms = [((1 << (4 * n + (-v * s) % n) | (lane0 if v >= step else 0)) if eps
-              else 1 << (n - v) | 1 << (3 * n - v), (eps, v))
+    stride = _translation_step(n, s)
+    forms = [((1 << (4 * n + (-v * s) % n) | (lane0 if v >= stride else 0))
+              if eps else 1 << (n - v) | 1 << (3 * n - v), (eps, v))
              for eps, v in _candidates(n)]
     drop_kind0 = ~lane0
     to_lane2 = 2 * n
 
-    def fold(state, arg):
-        eps, v = arg
-        if eps and state & lane0:
-            base = state & drop_kind0 | (state & nonzero) << to_lane2
+    def lift(state):
+        full = state | empty
+        if state & lane0:
+            moved = state & drop_kind0 | (state & nonzero) << to_lane2
         else:
-            base = state
-        return append(base, state | empty, eps, v)
+            moved = state
+        return (state, lanes(full, 0)), (moved, lanes(full, 1))
 
-    return fold, forms, 2 * n - 1, nonzero | nonzero << 2 * n | lane0 << 4 * n
+    def step(state, lifted, arg):
+        eps, v = arg
+        base, taken = lifted[eps]
+        return rotate(base, taken, v)
+
+    return (lift, step, forms, 2 * n - 1,
+            nonzero | nonzero << 2 * n | lane0 << 4 * n)
 
 
 def _action(n, s):

@@ -3,9 +3,12 @@
 Reachable sums are folded as bitsets: an int with bit c set marks that the
 group element encoded by c is a weighted sum of some nonempty subsequence.
 Folding one more element x ORs in a cyclic rotation of the current set (plus
-the empty sum) for every weighted image of x.  For rank one the rotation is a
-plain bit rotation; for products it rotates each coordinate through
-precomputed masks.
+the empty sum) for every weighted image of x.  The fold comes in two parts,
+so a search that appends many elements to one set pays the first part once:
+lift readies the set plus the empty sum for rotation, and step ORs in its
+rotations.  For rank one the lifted set is doubled, B | B << n, so each
+rotation is one right shift and one mask; for products it rotates each
+coordinate through precomputed masks.
 
 _Grid owns the element format (an int for Z_n, a coordinate tuple for a
 product, weight entries alike): _as_element brings every element and weight
@@ -46,7 +49,10 @@ class _Grid:
     i-th coordinate is below m - t, which move up by t, and those below t,
     where the top t land.  code, element, times and images map elements
     (ints for rank one) to codes and back, with inline rank-one fast paths;
-    fold takes images' shift forms.
+    step and fold take images' shift forms.  For rank one, lift doubles
+    the set, D = B | B << n, and rotating B up by t is the window
+    (D >> (n - t)) & mask: one right shift per image, and one mask for all
+    of them.
     """
 
     __slots__ = ("moduli", "rank", "size", "mask", "strides", "rot")
@@ -104,7 +110,7 @@ class _Grid:
 
     def images(self, x, entries):
         """The distinct weighted images of element x: (sorted codes, their
-        shift forms for fold)."""
+        shift forms for step and fold)."""
         if self.rank == 1:
             codes = tuple(sorted({a * x % self.size for a in entries}))
             return codes, codes
@@ -121,18 +127,38 @@ class _Grid:
                     | (bits >> (self.moduli[i] - t) * st) & wrap)
         return bits
 
+    def lift(self, bits):
+        """bits | {0} in the form step rotates: doubled for rank one."""
+        base = bits | 1
+        return base | base << self.size if self.rank == 1 else base
+
+    def step(self, bits, lifted, shifts):
+        """bits plus the translates of lifted, lift's form of bits | {0}, by
+        the weighted images of an element, given as codes (rank one) or
+        coordinate vectors (products)."""
+        if self.rank == 1:
+            size = self.size
+            for t in shifts:
+                bits |= lifted >> (size - t)
+            return bits & self.mask
+        for vec in shifts:
+            bits |= self.shift_vec(lifted, vec)
+        return bits
+
     def fold(self, bits, shifts):
         """Reachable sums after appending one element: bits plus every
-        translate of bits | {0} by a weighted image of the element, given as
-        codes (rank one) or coordinate vectors (products)."""
+        translate of bits | {0} by a weighted image of the element.  It is
+        step(bits, lift(bits), shifts) in one call, for callers that fold
+        each set once."""
         base = bits | 1
         if self.rank == 1:
-            size, mask = self.size, self.mask
+            size = self.size
+            base |= base << size
             for t in shifts:
-                bits |= ((base << t) | (base >> (size - t))) & mask
-        else:
-            for vec in shifts:
-                bits |= self.shift_vec(base, vec)
+                bits |= base >> (size - t)
+            return bits & self.mask
+        for vec in shifts:
+            bits |= self.shift_vec(base, vec)
         return bits
 
 

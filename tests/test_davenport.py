@@ -395,7 +395,7 @@ def test_orbit_capacity_against_naive_sums(moduli, weights, h):
     # nonzero orbits R misses, all counted outright
     entries = _weight_entries(weights, moduli)
     forms, _ = zip(*_prepare_candidates(moduli, entries))
-    _, _, cap_base, rep = _zero_sum_space(
+    _, _, _, cap_base, rep = _zero_sum_space(
         moduli, forms, _orbit_reps(moduli, entries))
     grid = _grid(moduli)
     nonzero = [y for y in product(*map(range, moduli)) if any(y)]

@@ -598,14 +598,14 @@ def test_slot_probe_matches_oracle_on_random_chains(n, s):
     # on product-one-free chains nondecreasing in candidate order, the order
     # _run_branch builds them in, a candidate at or after the last one must
     # be blocked by its probe exactly when appending it makes a product-one
-    # subsequence, or when it is x y^b with b >= step and the chain is plain
-    # and nonempty (only b < step may start the reflections after a plain
+    # subsequence, or when it is x y^b with b >= stride and the chain is plain
+    # and nonempty (only b < stride may start the reflections after a plain
     # prefix).  pairs is what the check covered when chains were drawn in
     # any order.
     pairs = {(12, 5): 5911, (8, 3): 3360, (7, 6): 2834}[n, s]
     spec = GroupSpec(n, s)
-    step = min(c for c in range(1, n + 1) if c * (1 + s) % n == 0)
-    fold, forms, _, _ = _slot_space(n, s)
+    stride = min(c for c in range(1, n + 1) if c * (1 + s) % n == 0)
+    lift, step, forms, _, _ = _slot_space(n, s)
     rng = random.Random(n * 1000 + s)
     checked = gates = 0
     for _ in range(120):
@@ -615,7 +615,7 @@ def test_slot_probe_matches_oracle_on_random_chains(n, s):
             for i in range(last, len(forms)):
                 probe, (eps, b) = forms[i]
                 hit = has_product_one_subsequence(GSequence(spec, chain + [(eps, b)]))
-                gated = eps == 1 and b >= step and len(chain) > 0 and not any(
+                gated = eps == 1 and b >= stride and len(chain) > 0 and not any(
                     e for e, _ in chain)
                 assert bool(state & probe) == (hit is not None or gated)
                 checked += 1
@@ -626,7 +626,7 @@ def test_slot_probe_matches_oracle_on_random_chains(n, s):
                 break
             last = rng.choice(free)
             chain.append(forms[last][1])
-            state = fold(state, forms[last][1])
+            state = step(state, lift(state), forms[last][1])
     assert checked >= pairs and gates > 0
 
 
@@ -640,7 +640,7 @@ def test_slot_capacity_counts_realized_products():
     for n in range(3, 11):
         for s in [s for s in range(n) if s * s % n == 1]:
             spec = GroupSpec(n, s)
-            fold, forms, cap_base, rep = _slot_space(n, s)
+            lift, step, forms, cap_base, rep = _slot_space(n, s)
             assert cap_base == 2 * n - 1
             rng = random.Random(n * 100 + s)
             for _ in range(100):
@@ -652,7 +652,7 @@ def test_slot_capacity_counts_realized_products():
                         break
                     last = rng.choice(free)
                     chain.append(MetaElem(*forms[last][1]))
-                    state = fold(state, forms[last][1])
+                    state = step(state, lift(state), forms[last][1])
                     grown = len(realized_products(spec, chain))
                     assert realized < grown <= cap_base
                     realized = grown
@@ -669,7 +669,7 @@ def test_slot_capacity_keeps_plain_products_past_a_reflection():
     crossings = after = 0
     for n in range(3, 13):
         for s in [s for s in range(n) if s * s % n == 1]:
-            fold, forms, _, _ = _slot_space(n, s)
+            lift, step, forms, _, _ = _slot_space(n, s)
             nonzero = (1 << n) - 2
             rng = random.Random(n * 10 + s)
             for _ in range(100):
@@ -682,7 +682,7 @@ def test_slot_capacity_keeps_plain_products_past_a_reflection():
                     last = rng.choice(free)
                     eps = forms[last][1][0]
                     crossings += eps and state & nonzero != 0
-                    state = fold(state, forms[last][1])
+                    state = step(state, lift(state), forms[last][1])
                     grown = (state | state >> 2 * n) & nonzero
                     assert grown & powers == powers, (n, s)
                     powers = grown

@@ -553,3 +553,33 @@ def test_rotation_masks_are_built_on_first_use():
             want = ((ones << (n - a)) - ones, (ones << a) - ones)
             assert grid.rotation(0, a) == want, (n, span, a)
             assert grid.rot[0][a] == want
+
+
+@pytest.mark.parametrize("moduli, weights", [
+    ((12,), ((1,), (5,), (6,))), ((52,), ((1,), (25,))),
+    ((6, 6), ((1, 1), (5, 5), (3, 2))), ((2, 4), ((1, 1), (1, 3))),
+    ((3, 5), ((1, 1), (2, 4)))])
+def test_lift_step_and_fold_match_naive_sums(moduli, weights):
+    # along random chains, zero sums included, step(R, lift(R), shifts) and
+    # fold(R, shifts) both give the reachable sums that the naive oracle
+    # adds up outright.  Some appends have an image 0: the element 0, which
+    # reachable_sums folds and the search never does, and for (12,) and
+    # (6, 6) the elements a weight sends to 0
+    grid = _grid(moduli)
+    entries = _weight_entries(weights, moduli)
+    vecs = list(product(*map(range, moduli)))
+    rng = random.Random(len(vecs) * 7 + len(weights))
+    zero_images = 0
+    for _ in range(20):
+        bits, sums = 0, set()
+        for _ in range(rng.randint(1, 9)):
+            v = rng.choice(vecs)
+            x = grid.element(grid.encode(v))
+            codes, shifts = grid.images(x, entries)
+            zero_images += codes[0] == 0
+            sums = weighted_sums(moduli, weights, [v], sums)
+            want = sum(1 << grid.encode(y) for y in sums)
+            assert grid.step(bits, grid.lift(bits), shifts) == want, (v, sums)
+            assert grid.fold(bits, shifts) == want, (v, sums)
+            bits = want
+    assert zero_images > 0
