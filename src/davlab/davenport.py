@@ -30,8 +30,8 @@ arg): probe is the set of state bits that forbid the append, tested with
 one AND before step(state, lifted, arg) builds the next state from
 lifted = lift(state), which every node computes once for all its children.
 Here (_zero_sum_space) the probe holds the negated weighted images of a
-class and the fold is zsfree._Grid's; metacyclic's slot-sum space is the
-other instance.
+class, arg the images themselves, and lift and step are zsfree._Grid's;
+metacyclic's slot-sum space is the other instance.
 
 Both searches run one orbit of a symmetry group at a time.  The group is
 given by generators, permutations of the candidate indices built once per
@@ -198,8 +198,9 @@ class ExactResult:
 def _prepare_candidates(moduli, entries):
     """Group the usable elements, those whose weighted images are all
     nonzero, into classes with equal weighted-image sets: a list of ((probe,
-    shift forms), members).  An element with a zero image can never sit in
-    a zero-sum-free sequence.
+    images), members), with the images as _Grid.images gives them, the form
+    _Grid.step takes.  An element with a zero image can never sit in a
+    zero-sum-free sequence.
 
     The probe is the bitset of the negated images: appending the element to
     a sequence with reachable sums R makes a zero sum exactly when R & probe,
@@ -212,10 +213,10 @@ def _prepare_candidates(moduli, entries):
     by_probe = {}
     for code in range(1, grid.size):
         x = grid.element(code)
-        codes, shifts = grid.images(x, entries)
-        if codes[0]:
-            probe = sum(1 << grid.times(-1, grid.element(c)) for c in codes)
-            by_probe.setdefault(probe, ((probe, shifts), []))[1].append(x)
+        images = grid.images(x, entries)
+        if grid.code(images[0]):
+            probe = sum(1 << grid.times(-1, y) for y in images)
+            by_probe.setdefault(probe, ((probe, images), []))[1].append(x)
     return [(form, tuple(members)) for form, members in by_probe.values()]
 
 
@@ -343,7 +344,7 @@ def _orbit_reps(moduli, entries):
 def _zero_sum_space(moduli, forms, rep):
     """Reachable-sum bitsets, folded by _Grid's lift and step: a zero sum
     blocks, and the orbits of nonzero sums that rep (_orbit_reps) marks
-    cap.  forms are the classes' (probe, shift forms) pairs."""
+    cap.  forms are the classes' (probe, images) pairs."""
     grid = _grid(moduli)
     return grid.lift, grid.step, forms, rep.bit_count(), rep
 

@@ -99,9 +99,16 @@ class GSequence:
     elements: tuple
 
     def __init__(self, spec, elements):
-        elems = sorted(spec.element(eps, a) for eps, a in elements)
+        elems = []
+        for g in elements:
+            try:
+                eps, a = g
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"element {g!r} is not an (eps, a) pair") from None
+            elems.append(spec.element(eps, a))
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "elements", tuple(sorted(elems)))
 
     @classmethod
     def _of(cls, spec, elements):
@@ -154,7 +161,7 @@ class OrderedCertificate:
         try:
             for p in (*self.positions, *self.order):
                 _integer(p, "position", 1)
-        except ValueError:
+        except (TypeError, ValueError):
             return False
         if not self.order or tuple(sorted(self.order)) != self.positions:
             return False

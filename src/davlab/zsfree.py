@@ -3,12 +3,13 @@
 Reachable sums are folded as bitsets: an int with bit c set marks that the
 group element encoded by c is a weighted sum of some nonempty subsequence.
 Folding one more element x ORs in a cyclic rotation of the current set (plus
-the empty sum) for every weighted image of x.  The fold comes in two parts,
-so a search that appends many elements to one set pays the first part once:
-lift readies the set plus the empty sum for rotation, and step ORs in its
-rotations.  For rank one the lifted set is doubled, B | B << n, so each
-rotation is one right shift and one mask; for products it rotates each
-coordinate through precomputed masks.
+the empty sum) for every weighted image of x.  Every fold is two calls:
+lift readies the set plus the empty sum for rotation, and step ORs its
+rotations by x's image elements into a base, the set itself or a superset
+of it.  So a set that several elements are folded onto is lifted once.  For
+rank one the lifted set is doubled, B | B << n, so each rotation is one
+right shift and one mask; for products it rotates each coordinate through
+precomputed masks.
 
 _Grid owns the element format (an int for Z_n, a coordinate tuple for a
 product, weight entries alike): _as_element brings every element and weight
@@ -16,9 +17,9 @@ from outside to it, weights through _as_entry, which also rejects one that
 is zero everywhere.  Past that and the oracle, code here and in davenport
 reaches elements only through _Grid's methods.
 
-Certificates come from the same fold: extract_certificate layers it by pick
-count, so a shortest zero sum is found and read back without recursion, at
-a cost that grows with the pick count times the length.
+Certificates come from the same lift and step: extract_certificate layers
+them by pick count, so a shortest zero sum is found and read back without
+recursion, at a cost that grows with the pick count times the length.
 """
 
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ class _Grid:
     i-th coordinate is below m - t, which move up by t, and those below t,
     where the top t land.  code, element, times and images map elements
     (ints for rank one) to codes and back, with inline rank-one fast paths;
-    step and fold take images' shift forms.  For rank one, lift doubles
+    step takes what images returns as is.  For rank one, lift doubles
     the set, D = B | B << n, and rotating B up by t is the window
     (D >> (n - t)) & mask: one right shift per image, and one mask for all
     of them.
@@ -109,13 +110,12 @@ class _Grid:
         return self.encode([u * v for u, v in zip(a, x)])
 
     def images(self, x, entries):
-        """The distinct weighted images of element x: (sorted codes, their
-        shift forms for step and fold)."""
+        """The distinct weighted images of element x, as elements in code
+        order, so the zero image, if any, comes first."""
         if self.rank == 1:
-            codes = tuple(sorted({a * x % self.size for a in entries}))
-            return codes, codes
-        codes = tuple(sorted({self.times(a, x) for a in entries}))
-        return codes, tuple(map(self.decode, codes))
+            return tuple(sorted({a * x % self.size for a in entries}))
+        return tuple(map(self.decode,
+                         sorted({self.times(a, x) for a in entries})))
 
     def shift_vec(self, bits, vec):
         for i, t in enumerate(vec):
@@ -132,33 +132,18 @@ class _Grid:
         base = bits | 1
         return base | base << self.size if self.rank == 1 else base
 
-    def step(self, bits, lifted, shifts):
-        """bits plus the translates of lifted, lift's form of bits | {0}, by
-        the weighted images of an element, given as codes (rank one) or
-        coordinate vectors (products)."""
+    def step(self, bits, lifted, images):
+        """bits plus the translates of lifted, lift's form of some R | {0},
+        by each element of images, the weighted images of one element as
+        images gives them.  With bits = R it folds that element onto R; with
+        a superset B of R it is B plus that fold."""
         if self.rank == 1:
             size = self.size
-            for t in shifts:
+            for t in images:
                 bits |= lifted >> (size - t)
             return bits & self.mask
-        for vec in shifts:
+        for vec in images:
             bits |= self.shift_vec(lifted, vec)
-        return bits
-
-    def fold(self, bits, shifts):
-        """Reachable sums after appending one element: bits plus every
-        translate of bits | {0} by a weighted image of the element.  It is
-        step(bits, lift(bits), shifts) in one call, for callers that fold
-        each set once."""
-        base = bits | 1
-        if self.rank == 1:
-            size = self.size
-            base |= base << size
-            for t in shifts:
-                bits |= base >> (size - t)
-            return bits & self.mask
-        for vec in shifts:
-            bits |= self.shift_vec(base, vec)
         return bits
 
 
@@ -292,7 +277,7 @@ def reachable_sums(S, weights):
     entries = _weight_entries(weights, S.moduli)
     bits = 0
     for x in S.elements:
-        bits = grid.fold(bits, grid.images(x, entries)[1])
+        bits = grid.step(bits, grid.lift(bits), grid.images(x, entries))
     return ReachableSet(S.moduli, bits)
 
 
@@ -387,7 +372,7 @@ class Certificate:
             for i in self.indices:
                 _integer(i, "index", 1)
             applied = [_as_entry(w, moduli) for w in self.weights]
-        except ValueError:
+        except (TypeError, ValueError):
             return False
         if not self.indices or len(self.indices) != len(self.weights):
             return False
@@ -411,9 +396,12 @@ def extract_certificate(S, weights):
     Among the certificates of minimal pick count the result has the
     lexicographically smallest index tuple, then the smallest weight tuple.
 
-    Everything runs on the reachable-sum fold.  rows[r][j] holds the negated
+    Everything runs on lift and step.  rows[r][j] holds the negated
     nonempty sums of at most r picks from positions >= j (counted from 0),
-    so the first r with 0 in rows[r][0] is the fewest pick count t.  Indices
+    so the first r with 0 in rows[r][0] is the fewest pick count t.  It is
+    rows[r][j + 1] stepped from the lift of rows[r - 1][j + 1] by the
+    negated images of x_j: rows[r][j + 1] contains rows[r - 1][j + 1], so
+    that adds the fold of -x_j onto rows[r - 1][j + 1] to it.  Indices
     are taken smallest first: with `left` picks still to take, position j is
     taken when the fold of x_j onto the picks taken so far meets
     rows[left - 1][j + 1] or 0.  Weights are then fixed smallest first, pick
@@ -431,8 +419,8 @@ def extract_certificate(S, weights):
     entries = _weight_entries(weights, S.moduli)
     elems = S.elements
     m = len(elems)
-    images = [grid.images(x, entries)[1] for x in elems]
-    negated = [grid.images(grid.element(grid.times(-1, x)), entries)[1]
+    images = [grid.images(x, entries) for x in elems]
+    negated = [grid.images(grid.element(grid.times(-1, x)), entries)
                for x in elems]
 
     rows = [[0] * (m + 1)]
@@ -442,30 +430,33 @@ def extract_certificate(S, weights):
         prev = rows[-1]
         row = [0] * (m + 1)
         for j in range(m - 1, -1, -1):
-            row[j] = row[j + 1] | grid.fold(prev[j + 1], negated[j])
+            row[j] = grid.step(row[j + 1], grid.lift(prev[j + 1]), negated[j])
         rows.append(row)
     t = len(rows) - 1
 
     picks = []
     sums = 0
+    lifted = grid.lift(sums)
     j = 0
     while len(picks) < t:
-        trial = grid.fold(sums, images[j])
+        trial = grid.step(sums, lifted, images[j])
         if trial & (rows[t - len(picks) - 1][j + 1] | 1):
             picks.append(j)
             sums = trial
+            lifted = grid.lift(sums)
         j += 1
 
     # rests[k]: negated sums of the picks after the k-th
     rests = [0]
     for j in reversed(picks[1:]):
-        rests.append(grid.fold(rests[-1], negated[j]))
+        rests.append(grid.step(rests[-1], grid.lift(rests[-1]), negated[j]))
     rests.reverse()
     applied = []
     sums = 0
     for j, rest in zip(picks, rests):
+        lifted = grid.lift(sums)
         for a in entries:
-            trial = grid.fold(sums, grid.images(elems[j], (a,))[1])
+            trial = grid.step(sums, lifted, grid.images(elems[j], (a,)))
             if trial & (rest | 1):
                 break
         else:

@@ -142,7 +142,8 @@ def test_gsequence_storage():
     assert S.elements == (MetaElem(0, 1), MetaElem(0, 3), MetaElem(1, 2))
     assert len(S) == 3
     assert list(S)[0] == MetaElem(0, 1)
-    for bad in ((0, 1.5), (1.0, 2), (True, 2), MetaElem(0, 2.0)):
+    for bad in ((0, 1.5), (1.0, 2), (True, 2), MetaElem(0, 2.0),
+                5, None, (0, 1, 2), (0,)):
         with pytest.raises(ValueError):
             GSequence(spec, [(0, 1), bad])
     with pytest.raises(ValueError):
@@ -288,6 +289,9 @@ def test_ordered_certificate_rejects_malformed():
     assert not OrderedCertificate((1.0, 2), (1.0, 2)).holds_for(S)
     assert not OrderedCertificate((1, 2), (2.0, 1)).holds_for(S)
     assert not OrderedCertificate((True, 2), (2, True)).holds_for(S)
+    # positions and order must be sequences, not bare ints
+    assert not OrderedCertificate(5, (1,)).holds_for(S)
+    assert not OrderedCertificate((1,), 1).holds_for(S)
 
 
 def _ordered_case(rng, spec):

@@ -221,11 +221,11 @@ def test_grid_element_format_against_coordinates(moduli):
         for w in weights:
             assert grid.times(as_elem(w), x) == grid.code(as_elem(mul(w, v)))
         entries = [as_elem(w) for w in weights]
-        codes, shifts = grid.images(x, entries)
-        assert codes == tuple(sorted({grid.code(as_elem(mul(w, v)))
-                                      for w in weights}))
-        # a shift form is the image itself: a code, or a coordinate tuple
-        assert [grid.code(f) for f in shifts] == list(codes)
+        # the distinct image elements, an int or a coordinate tuple each,
+        # in mixed-radix code order
+        naive = sorted({mul(w, v) for w in weights}, key=lambda u: sum(
+            ui * prod(moduli[:i]) for i, ui in enumerate(u)))
+        assert grid.images(x, entries) == tuple(map(as_elem, naive))
 
 
 @pytest.mark.parametrize(
@@ -428,6 +428,9 @@ def test_certificate_holds_for_rejects_malformed():
     assert not Certificate((1.0, 2), (1, 1)).holds_for(S)
     assert not Certificate((1,), (2.4,)).holds_for(ZSequence(12, [5]))
     assert not Certificate((1,), (True,)).holds_for(ZSequence(12, [0]))
+    # indices and weights must be sequences, not bare ints
+    assert not Certificate(5, (1,)).holds_for(S)
+    assert not Certificate((1,), 1).holds_for(S)
     assert Certificate((1, 2), (1, 1)).holds_for(S)
     # a weight zero on every coordinate makes any single pick a zero sum
     for bad in (0, 5, (0,)):
@@ -559,27 +562,32 @@ def test_rotation_masks_are_built_on_first_use():
     ((12,), ((1,), (5,), (6,))), ((52,), ((1,), (25,))),
     ((6, 6), ((1, 1), (5, 5), (3, 2))), ((2, 4), ((1, 1), (1, 3))),
     ((3, 5), ((1, 1), (2, 4)))])
-def test_lift_step_and_fold_match_naive_sums(moduli, weights):
-    # along random chains, zero sums included, step(R, lift(R), shifts) and
-    # fold(R, shifts) both give the reachable sums that the naive oracle
-    # adds up outright.  Some appends have an image 0: the element 0, which
+def test_lift_and_step_match_naive_sums(moduli, weights):
+    # along random chains, zero sums included, step(R, lift(R), images)
+    # gives the reachable sums that the naive oracle adds up outright, and
+    # stepping onto another base B, as the certificate rows do, gives B
+    # plus them.  Some appends have an image 0: the element 0, which
     # reachable_sums folds and the search never does, and for (12,) and
     # (6, 6) the elements a weight sends to 0
     grid = _grid(moduli)
     entries = _weight_entries(weights, moduli)
     vecs = list(product(*map(range, moduli)))
     rng = random.Random(len(vecs) * 7 + len(weights))
+    bases = random.Random(len(vecs))  # apart, so the chains stay as drawn
     zero_images = 0
     for _ in range(20):
         bits, sums = 0, set()
         for _ in range(rng.randint(1, 9)):
             v = rng.choice(vecs)
             x = grid.element(grid.encode(v))
-            codes, shifts = grid.images(x, entries)
-            zero_images += codes[0] == 0
+            images = grid.images(x, entries)
+            zero_images += grid.code(images[0]) == 0
             sums = weighted_sums(moduli, weights, [v], sums)
             want = sum(1 << grid.encode(y) for y in sums)
-            assert grid.step(bits, grid.lift(bits), shifts) == want, (v, sums)
-            assert grid.fold(bits, shifts) == want, (v, sums)
+            lifted = grid.lift(bits)
+            assert grid.step(bits, lifted, images) == want, (v, sums)
+            base = bases.getrandbits(grid.size)
+            assert (grid.step(base, lifted, images)
+                    == base | grid.step(0, lifted, images)), (v, base)
             bits = want
     assert zero_images > 0
