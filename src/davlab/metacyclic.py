@@ -6,14 +6,16 @@ a-part of a product is the sum of a_i * s^(reflections after factor i), so
 the ordered products of a multiset are slot sums: plain exponents weigh 1,
 or freely 1 or s once any reflection is present, and m reflections fill
 ceil(m/2) slots weighted 1 and floor(m/2) weighted s.  _SlotSums packs these
-sums into one int of n-bit lanes, one lane per (kind, balance): kind 0 plain
-sums, kind 1 plain sums with free weights, kind 2 sums holding a reflection,
-balance the weight-1 minus weight-s reflection slots.  A cyclic rotation of
-a product-one word is again product-one, so a sequence stays
-product-one-free after appending g exactly when the inverse of g is not
-such a sum.  The classification and small Davenport searches run that fold
-through davenport._run_branch (_slot_space); the product-one detector runs
-it once per pick count.  The searches' capacity counts realized products:
+sums into one int of lanes, one lane per (kind, balance): kind 0 plain sums,
+kind 1 plain sums with free weights, kind 2 sums holding a reflection,
+balance the weight-1 minus weight-s reflection slots.  Each lane is 2n bits
+with its n sums in the low half, so an append turns a lane by one shift per
+weight, as for Z_n sets.  A cyclic shift of a product-one word is again
+product-one, so a sequence stays product-one-free after appending g exactly
+when the inverse of g is not such a sum.  The classification and small
+Davenport searches run that fold through davenport._run_branch
+(_slot_space); the product-one detector runs it once per pick count.  The
+searches' capacity counts realized products:
 each append makes at least one more non-identity element an ordered
 product of the chain, so the products the state already shows bound the
 appends left out of the 2n - 1 non-identity elements.
@@ -35,8 +37,7 @@ from typing import NamedTuple
 
 from .davenport import _generators, _run_roots
 from .errors import BudgetExceededError, WrongLengthError
-from .modring import _integer
-from .zsfree import _Grid
+from .modring import _integer, _positions
 
 
 class MetaElem(NamedTuple):
@@ -152,25 +153,26 @@ def is_claimed_extremal_form(S):
 @dataclass(frozen=True)
 class OrderedCertificate:
     """A product-one witness: the chosen 1-based positions, sorted, plus the
-    same positions in multiplication order."""
+    same positions in multiplication order.  holds_for reads both as
+    modring._positions does, so a set, which fixes no order, is malformed."""
 
     positions: tuple
     order: tuple
 
     def holds_for(self, S):
         try:
-            for p in (*self.positions, *self.order):
-                _integer(p, "position", 1)
+            positions = _positions(self.positions, "positions")
+            order = _positions(self.order, "order")
         except (TypeError, ValueError):
             return False
-        if not self.order or tuple(sorted(self.order)) != self.positions:
+        if not order or tuple(sorted(order)) != positions:
             return False
-        if len(set(self.positions)) != len(self.positions):
+        if len(set(positions)) != len(positions):
             return False
-        if self.positions[-1] > len(S.elements):
+        if positions[-1] > len(S.elements):
             return False
         acc = IDENTITY
-        for p in self.order:
+        for p in order:
             acc = mul(acc, S.elements[p - 1], S.spec)
         return acc == IDENTITY
 
@@ -178,19 +180,22 @@ class OrderedCertificate:
 class _SlotSums:
     """Slot-sum states of C_n : C_2 packed into one int, and their fold.
 
-    A state holds sums over Z_n in lanes of n bits: bit lane * n + v marks
-    the sum v.  Lane 0 is kind 0 and lane 1 kind 1, both at balance 0; kind
-    2 at balance b sits on lane 2 + 2b for b >= 0 and on lane 1 - 2b for
-    b < 0, so a state's int grows only with the balances in use.  The empty
-    sequence is the empty plain sum in kinds 0 and 1 (self.empty).
+    A state holds sums over Z_n in lanes of 2n bits, the n sums in the low
+    half: bit lane(kind, bal) + v marks the sum v.  Lane 0 is kind 0 and
+    lane 1 kind 1, both at balance 0; kind 2 at balance b is lane 2 + 2b for
+    b >= 0 and lane 1 - 2b for b < 0, so a state's int grows only with the
+    balances in use.  The empty sequence is the empty plain sum in kinds 0
+    and 1 (self.empty).
 
     Appending y^a rotates kind 0 by a and kinds 1 and 2 by both a and a*s.
     Appending x y^a takes kinds 1 and 2 to kind 2, rotated by a with balance
     + 1 and by a*s with balance - 1.  The fold is two methods: lanes picks
     and moves the lanes an append reads, which depends only on eps, and
-    rotate turns them by a and a*s onto a base.  The product-one detector
-    calls both per append; the search (_slot_space) calls lanes once per
-    state and rotate once per child.
+    rotate turns them by a and a*s onto a base.  As for Z_n sets, lanes
+    first doubles every lane into its upper half, so rotate is one right
+    shift per weight and one mask.  The product-one detector calls both per
+    append; the search (_slot_space) calls lanes once per state and rotate
+    once per child.
 
     Ordering rule: a kind-2 sum at balance 0 is the a-part of the product
     that alternates its reflections s-slot, 1-slot, ending on a 1-slot, and
@@ -200,64 +205,63 @@ class _SlotSums:
 
     def __init__(self, n, s):
         self.n, self.s = n, s
-        self.empty = 1 | 1 << n
-        lane = (1 << n) - 1
-        self.lane1, self.lane2, self.lane3 = lane << n, lane << 2 * n, lane << 3 * n
+        self.empty = 1 | 1 << self.lane(1, 0)
         self._widen(8)
 
     def _widen(self, span):
         # Masks over span lanes, rebuilt at twice the span a longer state
         # needs: fits, the bits of the longest state an append takes, as
-        # appends move lanes up by at most three; the lane rotations rot,
-        # which are the coordinate-0 rotations of the grid Z_n x Z_span,
-        # and the method that fills them; every other lane from lane 1, 5,
-        # 2 and 4 on.  Masks only grow, so a rotation with the current ones
-        # fits lanes taken at any earlier span.  The grid is this object's
-        # own, not one from zsfree's unbounded _grid cache, so its masks go
-        # with it and with _slot_sums' entry.
-        n = self.n
-        lane = (1 << n) - 1
+        # appends move lanes up by at most three; low, the low half of every
+        # lane, which rotate keeps; lanes 1, 2 and 3, and every other lane
+        # from lane 1, 5, 2 and 4 on.  Masks only grow, so rotate with the
+        # current ones fits lanes taken at any earlier span.
+        width = 2 * self.n
+        lane = (1 << width) - 1
 
-        def every_other(first):
-            return sum(lane << (i * n) for i in range(first, span, 2))
+        def every(first, step=2, mask=lane):
+            return sum(mask << i * width for i in range(first, span, step))
 
-        grid = _Grid((n, span))
-        self.fits = (span - 3) * n
-        self.rot, self.rotation = grid.rot[0], grid.rotation
+        self.fits = (span - 3) * width
+        self.low = every(0, 1, (1 << self.n) - 1)
+        self.lane1, self.lane2, self.lane3 = (lane << i * width for i in (1, 2, 3))
         self.odd, self.odd5, self.even, self.even4 = (
-            every_other(1), every_other(5), every_other(2), every_other(4))
+            every(1), every(5), every(2), every(4))
+
+    def lane(self, kind, bal):
+        """The first bit of the lane of (kind, bal)."""
+        return 2 * self.n * (kind if kind < 2 else 2 + 2 * bal if bal >= 0
+                             else 1 - 2 * bal)
 
     def lanes(self, state, eps):
-        """The lanes of state that appending x^eps y^a rotates, moved to
-        where the append puts them: (light, heavy), rotated by a and by a*s
-        (rotate).  The masks widen first if state needs more lanes."""
-        n = self.n
+        """The lanes of state that appending x^eps y^a rotates, doubled and
+        moved to where the append puts them: (light, heavy), rotated by a
+        and by a*s (rotate).  The masks widen first if state needs more
+        lanes."""
+        width = 2 * self.n
         if state.bit_length() > self.fits:
-            self._widen(2 * (-(-state.bit_length() // n) + 3))
+            self._widen(2 * (-(-state.bit_length() // width) + 3))
+        d = state | state << self.n
         if not eps:
-            return state, state >> n << n
-        light = ((state & self.lane1) << 3 * n | (state & self.even) << 2 * n
-                 | (state & self.lane3) >> n | (state & self.odd5) >> 2 * n)
-        heavy = ((state & self.odd) << 2 * n | (state & self.lane2) << n
-                 | (state & self.even4) >> 2 * n)
+            return d, d >> width << width
+        light = ((d & self.lane1) << 3 * width | (d & self.even) << 2 * width
+                 | (d & self.lane3) >> width | (d & self.odd5) >> 2 * width)
+        heavy = ((d & self.odd) << 2 * width | (d & self.lane2) << width
+                 | (d & self.even4) >> 2 * width)
         return light, heavy
 
     def rotate(self, base, lanes, a):
         """base together with the lanes (light, heavy) rotated, every lane of
         light up by a and every lane of heavy by a*s: with lanes(state,
-        eps), the sums after appending x^eps y^a to state."""
-        n, rot = self.n, self.rot
+        eps), the sums after appending x^eps y^a to state.  Each lane's
+        window n - a bits down holds its sums turned by a."""
+        n = self.n
         light, heavy = lanes
-        a_s = a * self.s % n
-        stay, wrap = rot[a] or self.rotation(0, a)
-        stay_s, wrap_s = rot[a_s] or self.rotation(0, a_s)
-        return (base | (light & stay) << a | (light >> (n - a)) & wrap
-                | (heavy & stay_s) << a_s | (heavy >> (n - a_s)) & wrap_s)
+        return base | (light >> (n - a) | heavy >> (n - a * self.s % n)) & self.low
 
     def has(self, state, kind, bal, v):
         """Whether state holds the sum v in (kind, bal); kind 1 has bal 0 only."""
-        lane = kind if kind < 2 else 2 + 2 * bal if bal >= 0 else 1 - 2 * bal
-        return (kind == 2 or not bal) and (state >> (lane * self.n + v % self.n)) & 1
+        bit = self.lane(kind, bal) + v % self.n
+        return (kind == 2 or not bal) and (state >> bit) & 1
 
 
 # one per (n, s), shared by the searches and the detector
@@ -279,13 +283,14 @@ def has_product_one_subsequence(S):
     elems = S.elements
     m = len(elems)
     layers = [[slots.empty] * (m + 1)]
+    hit = 1 | 1 << slots.lane(2, 0)
     for t in range(1, m + 1):
         prev = layers[-1]
         row = [0]
         for j, (eps, a) in enumerate(elems):
             row.append(rotate(row[j], lanes(prev[j], eps), a))
         layers.append(row)
-        if row[m] & (1 | 1 << 2 * n):
+        if row[m] & hit:
             break
     else:
         return None
@@ -343,6 +348,8 @@ def _slot_space(n, s):
     children: it adds the empty sum, and for each eps takes the append's
     base and its light and heavy lanes (_SlotSums.lanes).  step(state,
     lifted, (eps, v)) only rotates them by v and v*s (_SlotSums.rotate).
+    Lanes are numbered as in _SlotSums, and the probes, the first
+    reflection's move and rep take each lane's first bit from _SlotSums.lane.
 
     The fold is defined on candidate-ordered chains only, the chains that
     _run_branch builds: plain elements first, so no plain element follows a
@@ -392,16 +399,16 @@ def _slot_space(n, s):
     lane0 = (1 << n) - 1
     nonzero = lane0 & ~1
     stride = _translation_step(n, s)
-    forms = [((1 << (4 * n + (-v * s) % n) | (lane0 if v >= stride else 0))
-              if eps else 1 << (n - v) | 1 << (3 * n - v), (eps, v))
+    start2, start4 = slots.lane(2, 0), slots.lane(2, 1)
+    forms = [((1 << (start4 + (-v * s) % n) | (lane0 if v >= stride else 0))
+              if eps else 1 << (n - v) | 1 << (start2 + n - v), (eps, v))
              for eps, v in _candidates(n)]
     drop_kind0 = ~lane0
-    to_lane2 = 2 * n
 
     def lift(state):
         full = state | empty
         if state & lane0:
-            moved = state & drop_kind0 | (state & nonzero) << to_lane2
+            moved = state & drop_kind0 | (state & nonzero) << start2
         else:
             moved = state
         return (state, lanes(full, 0)), (moved, lanes(full, 1))
@@ -412,7 +419,7 @@ def _slot_space(n, s):
         return rotate(base, taken, v)
 
     return (lift, step, forms, 2 * n - 1,
-            nonzero | nonzero << 2 * n | lane0 << 4 * n)
+            nonzero | nonzero << start2 | lane0 << start4)
 
 
 def _action(n, s):

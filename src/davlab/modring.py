@@ -2,10 +2,12 @@
 
 Everything here is exact integer arithmetic.  A modulus is a plain int >= 2;
 elements of Z_n are ints in range(n).  _integer is the package's one check
-of an integer argument, and _factor its one factorisation.  crt_split
-computes a split from gcd(n, s + 1), with CrtSplit as its one rule.
+of an integer argument, _positions its one reading of 1-based positions,
+and _factor its one factorisation.  crt_split computes a split from
+gcd(n, s + 1), with CrtSplit as its one rule.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -21,6 +23,15 @@ def _integer(value, name, least=None):
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return value
+
+
+def _positions(values, name):
+    """values as a tuple of ints >= 1, each checked by _integer, if it is a
+    list, tuple or other Sequence; ValueError for anything else, such as a
+    set, dict, generator or int, which fixes no order of its entries."""
+    if not isinstance(values, Sequence):
+        raise ValueError(f"{name} must be a sequence, got {values!r}")
+    return tuple(_integer(p, f"an entry of {name}", 1) for p in values)
 
 
 def _factor(n):

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import TooLargeError
-from .modring import WeightSet, _integer
+from .modring import WeightSet, _integer, _positions
 
 # Hard cap on the literal enumeration oracle; (|A|+1)^|S| choices get folded
 # into two halves of at most (|A|+1)^8 sums each.
@@ -366,19 +366,20 @@ class Certificate:
     def holds_for(self, S, weights=None):
         """True iff this is a weighted zero sum of S.  With weights, every
         weight applied must be one of them; without, any weight that is not
-        zero on every coordinate will do.  A malformed certificate is False."""
+        zero on every coordinate will do.  A malformed certificate, indices
+        not a sequence of positions (modring._positions) included, is
+        False."""
         moduli = S.moduli
         try:
-            for i in self.indices:
-                _integer(i, "index", 1)
+            indices = _positions(self.indices, "indices")
             applied = [_as_entry(w, moduli) for w in self.weights]
         except (TypeError, ValueError):
             return False
-        if not self.indices or len(self.indices) != len(self.weights):
+        if not indices or len(indices) != len(self.weights):
             return False
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+        if any(b <= a for a, b in zip(indices, indices[1:])):
             return False
-        if self.indices[-1] > len(S.elements):
+        if indices[-1] > len(S.elements):
             return False
         if weights is not None:
             allowed = set(_weight_entries(weights, moduli))
@@ -386,7 +387,7 @@ class Certificate:
                 return False
         grid = _grid(moduli)
         terms = [grid.decode(grid.times(a, S.elements[i - 1]))
-                 for i, a in zip(self.indices, applied)]
+                 for i, a in zip(indices, applied)]
         return grid.encode(map(sum, zip(*terms))) == 0
 
 

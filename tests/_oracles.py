@@ -86,6 +86,29 @@ def product_one_oracle(S):
     return False
 
 
+def slot_sums(spec, elements):
+    """The slot sums of elements over C_n : C_2, as (kind, balance, value)
+    triples, found by trying every sub-multiset and every slot choice
+    outright.  Kind 0 holds the plain sub-multisets' sums with weight 1 and
+    kind 1 those with weight 1 or s on each factor, both at balance 0 and
+    with the empty sum.  Kind 2 holds the sub-multisets with a reflection:
+    plain factors weigh 1 or s, and each reflection x y^a adds a with
+    balance +1 or a*s with balance -1."""
+    n, s = spec.n, spec.s
+    found = set()
+    for picks in product((False, True), repeat=len(elements)):
+        chosen = [g for g, p in zip(elements, picks) if p]
+        reflected = any(eps for eps, _ in chosen)
+        if not reflected:
+            found.add((0, 0, sum(a for _, a in chosen) % n))
+        for heavy in product((False, True), repeat=len(chosen)):
+            value = sum(a * s if h else a for (_, a), h in zip(chosen, heavy))
+            bal = sum(-1 if h else 1 for (eps, _), h in zip(chosen, heavy)
+                      if eps)
+            found.add((2 if reflected else 1, bal, value % n))
+    return found
+
+
 def automorphisms(n, s):
     """The pairs (u, c) of x^eps y^a -> x^eps y^(u*a + eps*c) on C_n : C_2,
     u a unit and c(1 + s) = 0 (mod n), found by scanning every c."""

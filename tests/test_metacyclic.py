@@ -18,6 +18,7 @@ from davlab.metacyclic import (
     MetaElem,
     OrderedCertificate,
     _slot_space,
+    _slot_sums,
     claimed_extremal_sequence,
     classify_extremal,
     format_element,
@@ -36,6 +37,7 @@ from _oracles import (
     naive_ordered_certificate,
     product_one_oracle,
     realized_products,
+    slot_sums,
 )
 
 
@@ -292,6 +294,12 @@ def test_ordered_certificate_rejects_malformed():
     # positions and order must be sequences, not bare ints
     assert not OrderedCertificate(5, (1,)).holds_for(S)
     assert not OrderedCertificate((1,), 1).holds_for(S)
+    # positions and order are read as modring._positions reads them: lists
+    # hold as tuples do, and a set, which fixes no order, is malformed
+    assert OrderedCertificate([1, 2], [2, 1]).holds_for(S)
+    assert OrderedCertificate(range(1, 3), [2, 1]).holds_for(S)
+    assert not OrderedCertificate((1, 2), {1, 2}).holds_for(S)
+    assert not OrderedCertificate({1, 2}, (2, 1)).holds_for(S)
 
 
 def _ordered_case(rng, spec):
@@ -675,6 +683,7 @@ def test_slot_capacity_keeps_plain_products_past_a_reflection():
         for s in [s for s in range(n) if s * s % n == 1]:
             lift, step, forms, _, _ = _slot_space(n, s)
             nonzero = (1 << n) - 2
+            lane2 = _slot_sums(n, s).lane(2, 0)
             rng = random.Random(n * 10 + s)
             for _ in range(100):
                 state, last, powers, reflected = 0, 0, 0, False
@@ -687,7 +696,7 @@ def test_slot_capacity_keeps_plain_products_past_a_reflection():
                     eps = forms[last][1][0]
                     crossings += eps and state & nonzero != 0
                     state = step(state, lift(state), forms[last][1])
-                    grown = (state | state >> 2 * n) & nonzero
+                    grown = (state | state >> lane2) & nonzero
                     assert grown & powers == powers, (n, s)
                     powers = grown
                     reflected = reflected or eps
@@ -696,6 +705,35 @@ def test_slot_capacity_keeps_plain_products_past_a_reflection():
                         after += 1
     assert crossings > 300
     assert after > 5000
+
+
+def test_slot_fold_matches_naive_slot_sums():
+    # folding a sequence from the empty state with lanes then rotate gives
+    # exactly the naive slot sums: has reports the model's triples and no
+    # others, and the state holds one bit per triple, so no stray bit sits
+    # in the upper half of a lane.  Five or more reflections reach lanes
+    # past the first span of 8 that _widen builds
+    rng = random.Random(0x5107)
+    specs = [GroupSpec(n, s) for n in range(3, 13) for s in range(n)
+             if s * s % n == 1]
+    wide = 0
+    for _ in range(300):
+        spec = rng.choice(specs)
+        n, p = spec.n, rng.choice((0.2, 0.5, 0.9))
+        elems = [spec.element(int(rng.random() < p), rng.randrange(n))
+                 for _ in range(rng.randint(0, 8))]
+        slots = _slot_sums(n, spec.s)
+        state = slots.empty
+        for eps, a in elems:
+            state = slots.rotate(state, slots.lanes(state, eps), a)
+        model = slot_sums(spec, elems)
+        m = len(elems)
+        lanes = [(0, 0), (1, 0)] + [(2, b) for b in range(-m, m + 1)]
+        assert {(kind, bal, v) for kind, bal in lanes for v in range(n)
+                if slots.has(state, kind, bal, v)} == model
+        assert state.bit_count() == len(model)
+        wide += sum(eps for eps, _ in elems) >= 5
+    assert wide >= 20
 
 
 def test_small_davenport_budget_exhaustion():

@@ -297,3 +297,16 @@ def test_weightset_normalization():
     for bad in (2.0, True, 5.0):
         with pytest.raises(ValueError):
             bad in WeightSet(12, (1, 5))
+
+
+def test_positions_reads_sequences_of_positive_ints():
+    assert modring._positions([3, 1], "order") == (3, 1)
+    assert modring._positions((1, 2), "order") == (1, 2)
+    assert modring._positions(range(1, 4), "order") == (1, 2, 3)
+    assert modring._positions([], "order") == ()
+    for bad in ({1, 2}, {1: 2}, (p for p in (1, 2)), 5, None):
+        with pytest.raises(ValueError, match="order must be a sequence"):
+            modring._positions(bad, "order")
+    for bad in ((0, 1), (1, -2), (1.0, 2), (True, 2), ("1",)):
+        with pytest.raises(ValueError, match="entry of order"):
+            modring._positions(bad, "order")

@@ -432,6 +432,13 @@ def test_certificate_holds_for_rejects_malformed():
     assert not Certificate(5, (1,)).holds_for(S)
     assert not Certificate((1,), 1).holds_for(S)
     assert Certificate((1, 2), (1, 1)).holds_for(S)
+    # indices are read as modring._positions reads them: any sequence of
+    # positions will do, and a set or generator, which fixes no order, is
+    # malformed
+    assert Certificate([1, 2], [1, 1]).holds_for(S)
+    assert Certificate(range(1, 3), (1, 1)).holds_for(S)
+    assert not Certificate({1, 2}, (1, 1)).holds_for(S)
+    assert not Certificate((i for i in (1, 2)), (1, 1)).holds_for(S)
     # a weight zero on every coordinate makes any single pick a zero sum
     for bad in (0, 5, (0,)):
         assert not Certificate((1,), (bad,)).holds_for(ZSequence(5, [1, 2]))
